@@ -54,6 +54,7 @@ import scipy
 
 from . import __version__
 from .communication import (
+    PhotonTailError,
     capacity_classical,
     capacity_ea,
     green_machine_optimize,
@@ -63,7 +64,7 @@ from .communication import (
     pcr_count_pmfs,
     shannon_photon_counting,
 )
-from .conversion import conversion_params
+from .conversion import QuadratureError, conversion_params
 from .discrimination import (
     PatternHypothesis,
     c2d_exponent_bounds,
@@ -783,8 +784,9 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
     """Execute one sweep and write its CSV + sidecar.
 
     Returns the process exit status: 0 on success, 1 when a grid point or
-    the output path fails at runtime.  Configuration errors are raised by
-    the :class:`SweepConfig` constructor, not here.
+    the output path fails at runtime, including a quadrature that misses its
+    tolerance and a photon-number tail that never closes.  Configuration
+    errors are raised by the :class:`SweepConfig` constructor, not here.
     """
     if not isinstance(config, SweepConfig):
         raise TypeError("config must be a SweepConfig")
@@ -796,7 +798,7 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
         achieved = [a for _, a in results if a is not None]
         _write_csv(config.output_path, columns, rows)
         _write_sidecar(config, columns, len(rows), achieved)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureError, PhotonTailError) as exc:
         return _emit_error(str(exc), 1)
     return 0
 

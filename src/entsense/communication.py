@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import lambertw
-from scipy.stats import nbinom, norm
+from scipy.special import lambertw, ndtr
 
 from .conversion import ConversionParams, conversion_params, expect_total_displacement
 from .discrimination import _golden_section_min
@@ -26,6 +25,7 @@ __all__ = [
     "BpskHolevo",
     "GreenMachineConfig",
     "GreenMachinePoint",
+    "PhotonTailError",
     "capacity_classical",
     "capacity_ea",
     "g_entropy",
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+
+class PhotonTailError(RuntimeError):
+    """Raised when a photon-number pmf keeps mass beyond every cutoff tried."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def holevo_cpsk_conditional(x: float, e_noise: float, tail_mass: float = 1e-12) 
             entropy = _shannon_bits(pmf[:cut])
             return max(entropy - g_entropy(e_noise), 0.0)
         if n_hi > 10**7:
-            raise RuntimeError("photon-number tail did not close")
+            raise PhotonTailError("photon-number tail did not close")
         n_hi *= 2
 
 
@@ -352,6 +356,9 @@ def opar_photon_pmfs(
     all returned arrays share the support ``0 .. n_max`` chosen so every
     tail is below 1e-12.
     """
+    # scipy.stats costs ~45 MB resident; nothing else in the package needs it.
+    from scipy.stats import nbinom
+
     g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
     if g < 1.0:
         raise ValueError("gain must be at least 1")
@@ -397,7 +404,7 @@ def pcr_count_pmfs(
     edges = np.arange(lo, hi + 2) - 0.5
     out = []
     for mu, s in zip(mus, sigmas):
-        cdf = norm.cdf(edges, loc=mu, scale=s)
+        cdf = ndtr((edges - mu) / s)
         pmf = np.diff(cdf)
         # end bins absorb the (negligible) outside-window mass
         pmf[0] += cdf[0]

@@ -18,10 +18,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
-from .conversion import ConversionParams, conversion_params, expect_total_displacement
-from .fockstates import DisplacedThermal, FockMatrix, recommended_dim, to_fock
+from .conversion import (
+    ConversionParams,
+    conversion_params,
+    displacement_support,
+    expect_total_displacement,
+)
+from .fockstates import (
+    DisplacedThermal,
+    FockMatrix,
+    displaced_thermal_matrix,
+    recommended_dim,
+    to_fock,
+)
 from .gaussian import ChannelParams, GaussianState, williamson
 
 __all__ = [
@@ -41,6 +51,10 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Upper bound on the bytes of one stack of node matrices in p_c2d; the
+# stack lives in every forked CLI worker.
+_NODE_BLOCK_BYTES = 2**21
 
 
 def _golden_section_min(
@@ -196,25 +210,20 @@ def p_c2d(
         When true, return ``(probability, achieved_tolerance)``.
     """
     params, e_noise = _c2d_states(n_s, ch)
-    if params.xi == 0.0:
-        x_hi = 0.0
-    else:
-        mean = 2.0 * m * params.xi
-        sd = 2.0 * math.sqrt(m) * params.xi
-        if mean > 50.0 and m > 1000:
-            x_hi = mean + 10.0 * sd
-        else:
-            x_hi = float(scipy.stats.chi2.isf(1e-19, 2 * m, scale=params.xi))
+    _, x_hi, _ = displacement_support(params, m)
     dim = fock_dim if fock_dim is not None else max(
         recommended_dim(x_hi, max(n_s, e_noise)), 2
     )
     rho0 = to_fock(DisplacedThermal(0.0, n_s), dim)
+    block = max(1, _NODE_BLOCK_BYTES // (8 * dim * dim))
 
     def kernel(x: np.ndarray) -> np.ndarray:
+        x = np.maximum(x, 0.0)
         out = np.empty(x.shape)
-        for i, xv in enumerate(x):
-            sig = to_fock(DisplacedThermal(math.sqrt(max(xv, 0.0)), e_noise), dim)
-            out[i] = helstrom_numeric(rho0, sig)
+        for lo in range(0, x.size, block):
+            mats = displaced_thermal_matrix(x[lo : lo + block], e_noise, dim)
+            for i, mat in enumerate(mats, start=lo):
+                out[i] = helstrom_numeric(rho0, FockMatrix(dim, mat))
         return out
 
     value, achieved = expect_total_displacement(params, m, kernel, quad_tol)

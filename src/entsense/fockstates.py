@@ -2,13 +2,11 @@
 
 A displaced thermal state is the thermal (geometric) photon-number mixture
 with mean photon number ``E`` displaced to a complex amplitude ``alpha``.
-This module builds its density matrix on a finite photon-number cutoff,
-evaluates its photon-counting statistics, and assembles the binary
-phase-keyed mixture ``(rho_{+sqrt(x)} + rho_{-sqrt(x)})/2`` directly from a
-closed form.
-
-All probability evaluations run in log space so that large photon numbers
-and small occupations do not underflow.
+:func:`displaced_thermal_matrix` evaluates its closed form in associated
+Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1882 (1969)) by a
+real three-term recurrence; the Fock matrix, the photon-counting statistics
+and the binary phase-keyed mixture ``(rho_{+sqrt(x)} + rho_{-sqrt(x)})/2``
+are all read off that one construction.
 """
 
 from __future__ import annotations
@@ -18,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "DisplacedThermal",
     "FockMatrix",
     "bpsk_mixture_matrix",
     "dephased_pmf",
+    "displaced_thermal_matrix",
     "photon_pmf",
     "recommended_dim",
     "to_fock",
@@ -64,6 +63,7 @@ class FockMatrix:
 
     Validates Hermiticity (1e-12), positive semidefiniteness (eigenvalues
     above -1e-10) and that the retained trace is within ``tail_tol`` of one.
+    Real entries stay real, so eigensolves on them run in real arithmetic.
     """
 
     dim: int
@@ -74,7 +74,8 @@ class FockMatrix:
         object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        entries = np.array(self.entries, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.entries) else float
+        entries = np.array(self.entries, dtype=dtype)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(
                 f"entries must be {self.dim}x{self.dim}, got {entries.shape}"
@@ -95,6 +96,83 @@ class FockMatrix:
     def trace_deficit(self) -> float:
         """Probability weight lost to the truncation, ``1 - tr(rho)``."""
         return 1.0 - float(np.trace(self.entries).real)
+
+
+def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
+    """Yield ``g[n, k] = rho_{n+k, n}``, shape ``(B, min(n_diags, n_rows - n))``,
+    for ``n = 0 .. n_rows - 1`` and the ``B`` squared displacements ``x``.
+
+    With ``q = E/(E+1)`` and ``s = x/(E+1)^2`` each diagonal ``k`` starts at
+    ``g[0, k] = x^{k/2} e^{-x/(E+1)} / (sqrt(k!) (E+1)^{k+1})`` and follows the
+    associated Laguerre recurrence
+    ``g[n+1, k] sqrt((n+1)(n+k+1)) = ((2n+1+k) q + s) g[n, k]
+    - q^2 sqrt(n(n+k)) g[n-1, k]``.  It runs on mantissas renormalized by
+    exact powers of two at every step; ``exp2`` holds each diagonal's
+    exponent, so no entry flushes to zero before double precision would.
+    """
+    x = x[:, None]
+    q = e / (e + 1.0)
+    s = x / (e + 1.0) ** 2
+    k = np.arange(n_diags)
+    root = np.sqrt(np.arange(n_rows + n_diags + 1.0))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: g[0, k>0] at x = 0
+        log2_g0 = (
+            xlogy(0.5 * k, x) - x / (e + 1.0) - 0.5 * gammaln(k + 1.0)
+            - (k + 1) * math.log1p(e)
+        ) / math.log(2.0)
+    exp2 = np.floor(np.nan_to_num(log2_g0, neginf=0.0)).astype(int)
+    cur = np.exp2(log2_g0 - exp2)
+    prev = np.zeros_like(cur)
+    for n in range(n_rows):
+        width = min(n_diags, n_rows - n)
+        cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
+        yield np.ldexp(cur, exp2)
+        nxt = (
+            ((2 * n + 1) * q + s + q * k[:width]) * cur
+            - (q * q * root[n]) * root[n : n + width] * prev
+        ) / (root[n + 1] * root[n + 1 : n + 1 + width])
+        nxt, shift = np.frexp(nxt)
+        prev, cur, exp2 = np.ldexp(cur, -shift), nxt, exp2 + shift
+
+
+def displaced_thermal_matrix(x, e_noise: float, dim: int) -> np.ndarray:
+    """Real Fock matrix of the thermal state ``e_noise`` displaced to ``sqrt(x)``.
+
+    Exact matrix elements on the first ``dim`` levels; the truncated trace
+    is not renormalized.  ``e_noise = 0`` gives the coherent state and
+    ``x = 0`` the thermal state.  A complex ``alpha`` with ``|alpha|^2 = x``
+    adds the phase ``e^{i (m - n) arg(alpha)}`` (see :func:`to_fock`).
+
+    Returns shape ``(dim, dim)`` for a scalar ``x >= 0`` and
+    ``(len(x), dim, dim)`` for a 1-D array of them.
+    """
+    xs = np.asarray(x, dtype=float)
+    e = float(e_noise)
+    dim = int(dim)
+    if xs.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    if not np.all(xs >= 0):
+        raise ValueError("x must be nonnegative")
+    if not e >= 0:
+        raise ValueError("e_noise must be nonnegative")
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
+    batch = np.atleast_1d(xs)
+    rho = np.zeros((batch.size, dim, dim))
+    for n, col in enumerate(_laguerre_columns(batch, e, dim, dim)):
+        rho[:, n:, n] = col
+        rho[:, n, n + 1 :] = col[:, 1:]
+    return rho if xs.ndim else rho[0]
+
+
+def _truncated(rho: np.ndarray, x: float, e: float, tail_tol: float) -> FockMatrix:
+    deficit = 1.0 - float(np.trace(rho).real)
+    if deficit > tail_tol:
+        raise ValueError(
+            f"dim={len(rho)} leaves a trace deficit of {deficit:.3e} > {tail_tol:.1e}; "
+            f"need dim >= {recommended_dim(x, e, tail_tol)}"
+        )
+    return FockMatrix(len(rho), rho, tail_tol)
 
 
 def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> int:
@@ -135,9 +213,9 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
 def to_fock(state: DisplacedThermal, dim: int, tail_tol: float = 1e-9) -> FockMatrix:
     """Density matrix of a displaced thermal state on ``dim`` Fock levels.
 
-    The thermal diagonal is conjugated by the displacement operator
-    ``exp(alpha a^dag - alpha^* a)``, evaluated by dense matrix exponential
-    at dimension ``dim + 2`` and then truncated.
+    The real matrix of :func:`displaced_thermal_matrix` at ``|alpha|^2``,
+    times the phase ``e^{i (m - n) arg(alpha)}``.  The result is real when
+    ``alpha`` is real.
 
     Parameters
     ----------
@@ -157,38 +235,15 @@ def to_fock(state: DisplacedThermal, dim: int, tail_tol: float = 1e-9) -> FockMa
     dim = int(dim)
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    e = state.e_noise
-    work = dim + 2
-    n = np.arange(work)
-    if e == 0.0:
-        diag = np.zeros(work)
-        diag[0] = 1.0
-    else:
-        diag = np.exp(n * math.log(e) - (n + 1) * math.log1p(e))
-    if state.alpha == 0:
-        rho = np.diag(diag[:dim]).astype(complex)
-    else:
-        lower = np.diag(np.sqrt(np.arange(1.0, work)), -1)  # a^dag
-        gen = state.alpha * lower - np.conj(state.alpha) * lower.T
-        disp = scipy.linalg.expm(gen)
-        rho = (disp * diag) @ disp.conj().T
-        rho = rho[:dim, :dim]
-        rho = 0.5 * (rho + rho.conj().T)
-    deficit = 1.0 - float(np.trace(rho).real)
-    if deficit > tail_tol:
-        raise ValueError(
-            f"dim={dim} leaves a trace deficit of {deficit:.3e} > {tail_tol:.1e}; "
-            f"need dim >= {recommended_dim(state.amp_sq, e, tail_tol)}"
-        )
-    return FockMatrix(dim, rho, tail_tol)
-
-
-def _log_poisson(x: float, n: np.ndarray) -> np.ndarray:
-    out = np.full(n.shape, -np.inf)
-    if x == 0.0:
-        out[n == 0] = 0.0
-        return out
-    return n * math.log(x) - x - gammaln(n + 1.0)
+    alpha = state.alpha
+    rho = displaced_thermal_matrix(state.amp_sq, state.e_noise, dim)
+    if alpha.imag != 0.0:
+        order = np.subtract.outer(np.arange(dim), np.arange(dim))
+        rho = rho * np.exp(1j * math.atan2(alpha.imag, alpha.real) * order)
+    elif alpha.real < 0.0:  # phase (-1)^{m-n}
+        rho[1::2, ::2] *= -1.0
+        rho[::2, 1::2] *= -1.0
+    return _truncated(rho, state.amp_sq, state.e_noise, tail_tol)
 
 
 def dephased_pmf(x: float, e_noise: float, n) -> float | np.ndarray:
@@ -199,8 +254,9 @@ def dephased_pmf(x: float, e_noise: float, n) -> float | np.ndarray:
         P(n | x) = E^n (E+1)^{-n-1} exp(-x/(E+1)) L_n(-x/(E(E+1)))
 
     with ``L_n`` the Laguerre polynomial; ``E = 0`` reduces to Poisson(x).
-    The Laguerre factor is summed in log space (its terms are all positive
-    at negative argument), so the result stays finite for any ``n``.
+    This is the diagonal of :func:`displaced_thermal_matrix`, evaluated up
+    to ``max(n)`` alone; it stays finite, and nonzero wherever double
+    precision can hold it, for any ``n``.
 
     Parameters
     ----------
@@ -222,34 +278,9 @@ def dephased_pmf(x: float, e_noise: float, n) -> float | np.ndarray:
         raise ValueError("n must contain nonnegative integers")
     scalar = np.isscalar(n) or np.asarray(n).ndim == 0
 
-    if e == 0.0:
-        logp = _log_poisson(x, n_arr)
-    elif x == 0.0:
-        logp = n_arr * math.log(e) - (n_arr + 1) * math.log1p(e)
-    else:
-        z = x / (e * (e + 1.0))
-        if not math.isfinite(z):
-            logp = _log_poisson(x, n_arr)
-        else:
-            lnz = math.log(z)
-            logp = np.empty(n_arr.shape)
-            flat = n_arr.reshape(-1)
-            out = logp.reshape(-1)
-            for i, nv in enumerate(flat):
-                k = np.arange(nv + 1.0)
-                terms = (
-                    gammaln(nv + 1.0)
-                    - gammaln(nv - k + 1.0)
-                    - 2.0 * gammaln(k + 1.0)
-                    + k * lnz
-                )
-                out[i] = logsumexp(terms)
-            logp += (
-                n_arr * math.log(e)
-                - (n_arr + 1) * math.log1p(e)
-                - x / (e + 1.0)
-            )
-    result = np.exp(logp)
+    top = int(n_arr.max(initial=-1)) + 1
+    diag = np.array([col[0, 0] for col in _laguerre_columns(np.array([x]), e, top, 1)])
+    result = diag[n_arr]
     return float(result[0]) if scalar else result.reshape(np.shape(n))
 
 
@@ -268,14 +299,9 @@ def bpsk_mixture_matrix(
     """Density matrix of the equal mixture of ``+sqrt(x)`` and ``-sqrt(x)``
     displaced thermal states.
 
-    Entries with odd ``m - n`` vanish by the two-point phase symmetry; the
-    even entries follow a closed form built on a terminating confluent
-    hypergeometric sum whose terms are all positive, evaluated in log space:
-
-        rho_mn = sqrt(m!/n!) E^n x^{(m-n)/2} e^{-x/(E+1)}
-                 1F1(-n; m-n+1; -x/(E(E+1))) / ((m-n)! (E+1)^{m+1})
-
-    for ``m >= n``.
+    The ``-sqrt(x)`` state differs from the ``+sqrt(x)`` one by the sign
+    ``(-1)^{m-n}``, so the mixture is :func:`displaced_thermal_matrix` with
+    the odd ``m - n`` entries set to zero.
 
     Parameters
     ----------
@@ -294,63 +320,12 @@ def bpsk_mixture_matrix(
         If the truncation at ``dim`` loses more than ``tail_tol`` of the
         trace; the message names the recommended dimension.
     """
-    x = float(x)
-    e = float(e_noise)
     dim = int(dim)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if not e > 0:
+    if not e_noise > 0:
         raise ValueError("e_noise must be positive")
     if dim < 2:
         raise ValueError("dim must be at least 2")
-
-    ns = np.arange(dim)
-    if x == 0.0:
-        rho = np.diag(np.exp(ns * math.log(e) - (ns + 1) * math.log1p(e)))
-    else:
-        z = x / (e * (e + 1.0))
-        if not math.isfinite(z):
-            # Coherent-state limit: e^{-x} x^{(m+n)/2} / sqrt(m! n!).
-            logc = 0.5 * (ns * math.log(x) - gammaln(ns + 1.0)) - 0.5 * x
-            rho = np.exp(logc[:, None] + logc[None, :])
-            parity = (ns[:, None] - ns[None, :]) % 2
-            rho = np.where(parity == 0, rho, 0.0)
-        else:
-            lnz = math.log(z)
-            lnx = math.log(x)
-            lne1 = math.log1p(e)
-            rho = np.zeros((dim, dim))
-            for n in range(dim):
-                d = np.arange(0, dim - n, 2)  # m = n + d
-                k = np.arange(n + 1.0)
-                # log of the terminating 1F1(-n; d+1; -z) series, terms >= 0
-                base = (
-                    gammaln(n + 1.0)
-                    - gammaln(n - k + 1.0)
-                    - gammaln(k + 1.0)
-                    + k * lnz
-                )
-                mat = base[:, None] - (
-                    gammaln(d[None, :] + 1.0 + k[:, None])
-                    - gammaln(d[None, :] + 1.0)
-                )
-                log_f = logsumexp(mat, axis=0)
-                log_entry = (
-                    0.5 * (gammaln(n + d + 1.0) - gammaln(n + 1.0))
-                    + n * math.log(e)
-                    + 0.5 * d * lnx
-                    - x / (e + 1.0)
-                    - gammaln(d + 1.0)
-                    - (n + d + 1) * lne1
-                    + log_f
-                )
-                vals = np.exp(log_entry)
-                rho[n + d, n] = vals
-                rho[n, n + d] = vals
-    deficit = 1.0 - float(np.trace(rho))
-    if deficit > tail_tol:
-        raise ValueError(
-            f"dim={dim} leaves a trace deficit of {deficit:.3e} > {tail_tol:.1e}; "
-            f"need dim >= {recommended_dim(x, e, tail_tol)}"
-        )
-    return FockMatrix(dim, rho.astype(complex), tail_tol)
+    rho = displaced_thermal_matrix(x, e_noise, dim)
+    rho[1::2, ::2] = 0.0
+    rho[::2, 1::2] = 0.0
+    return _truncated(rho, x, e_noise, tail_tol)

@@ -11,7 +11,12 @@ import pytest
 
 from entsense import cli
 from entsense.cli import SweepConfig, main, parse_grid, run
-from entsense.communication import green_machine_optimize, holevo_c2d_cpsk
+from entsense.communication import (
+    PhotonTailError,
+    green_machine_optimize,
+    holevo_c2d_cpsk,
+)
+from entsense.conversion import QuadratureError
 from entsense.discrimination import p_classical_coherent
 from entsense.gaussian import ChannelParams
 from entsense.metrology import qfi_c2d, qfi_cs
@@ -299,6 +304,27 @@ class TestExitCodes:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_status"] == 1
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            QuadratureError("quadrature did not reach tolerance", 1.0),
+            PhotonTailError("photon-number tail did not close"),
+        ],
+    )
+    def test_library_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "holevo_c2d_bpsk", fail)
+        out = tmp_path / "comm.csv"
+        code = main(["comm", "--ns", "1e-3", "--m", "10", "--out", str(out), "--threads", "1"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_status"] == 1
+        assert str(exc) in err["error"]
 
     def test_run_requires_config_object(self):
         with pytest.raises(TypeError):

@@ -11,6 +11,7 @@ from entsense.conversion import (
     QuadratureError,
     combining_weights,
     conversion_params,
+    displacement_support,
     expect_total_displacement,
     simulate_conversion,
     streaming_combiner,
@@ -201,6 +202,41 @@ class TestExpectTotalDisplacement:
         assert_allclose(val, 1.0, rtol=1e-8)
         mean, _ = expect_total_displacement(p_big, m_big, lambda x: x, quad_tol=1e-9)
         assert_allclose(mean, 2 * m_big * p_big.xi, rtol=1e-8)
+
+    def test_support_matches_the_nodes_visited(self):
+        # Quantile map: hi is the 1e-19 upper quantile, beyond every node.
+        p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
+        lo, hi, windowed = displacement_support(p, 4)
+        assert not windowed and lo == 0.0
+        assert hi == scipy.stats.chi2.isf(1e-19, 8, scale=p.xi)
+        seen = []
+        expect_total_displacement(p, 4, lambda x: seen.append(x) or np.ones_like(x))
+        assert 0.0 < np.min(np.concatenate(seen)) and np.max(np.concatenate(seen)) < hi
+        # Central-limit window: +/-10 sigma around 2 m xi, nodes inside it.
+        p_big = conversion_params(0.001, ChannelParams(0.01, 0.0, 20.0))
+        m_big = 3 * 10**8
+        lo, hi, windowed = displacement_support(p_big, m_big)
+        mean, sd = 2 * m_big * p_big.xi, 2 * math.sqrt(m_big) * p_big.xi
+        assert windowed and (lo, hi) == (mean - 10 * sd, mean + 10 * sd)
+        assert displacement_support(p_big, 1000)[2] is False  # m > 1000 required
+        vacuum = conversion_params(0.0, ChannelParams(0.5, 0.0, 2.0))
+        assert displacement_support(vacuum, 9) == (0.0, 0.0, False)
+
+    def test_quantile_map_matches_scipy_stats(self):
+        # The map evaluates scipy.stats.chi2's ppf/isf expressions directly.
+        p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
+        seen = []
+        expect_total_displacement(p, 4, lambda x: seen.append(x) or np.ones_like(x))
+        edges = np.linspace(0.0, 1.0, 9)
+        nodes, _ = np.polynomial.legendre.leggauss(16)
+        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.0625 * nodes).ravel()
+
+        def smooth(v):
+            return v**4 * (35.0 - 84.0 * v + 70.0 * v**2 - 20.0 * v**3)
+
+        dist = scipy.stats.chi2(8, scale=p.xi)
+        want = np.where(t <= 0.5, dist.ppf(smooth(t)), dist.isf(smooth(1.0 - t)))
+        assert_allclose(seen[0], want, rtol=1e-14)
 
     def test_dirac_short_circuit(self):
         p = conversion_params(0.0, ChannelParams(0.5, 0.0, 2.0))

@@ -1,17 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, gammaln
 
+from entsense.discrimination import helstrom_numeric
 from entsense.fockstates import (
     DisplacedThermal,
     FockMatrix,
     bpsk_mixture_matrix,
     dephased_pmf,
+    displaced_thermal_matrix,
     photon_pmf,
     recommended_dim,
     to_fock,
@@ -20,7 +25,9 @@ from entsense.fockstates import (
 
 def displacement_matrix(alpha, dim):
     """Analytic displacement-operator matrix elements (associated Laguerre
-    closed form); used as an independent oracle for the expm construction."""
+    closed form); conjugating the thermal diagonal with it gives an oracle
+    for the displaced thermal state that shares no code with the
+    recurrence in ``to_fock``."""
     d = np.zeros((dim, dim), dtype=complex)
     x2 = abs(alpha) ** 2
     for m in range(dim):
@@ -34,6 +41,30 @@ def displacement_matrix(alpha, dim):
                     m, n - m, x2
                 )
     return d
+
+
+def mp_entry(alpha, e, m, n):
+    """``<m| D(alpha) rho_th(e) D(alpha)^dag |n>`` at 40 digits (Cahill &
+    Glauber closed form); ``alpha`` may be complex."""
+    with mpmath.workdps(40):
+        if m < n:
+            return mpmath.conj(mp_entry(alpha, e, n, m))
+        a = mpmath.mpc(alpha)
+        x = abs(a) ** 2
+        e = mpmath.mpf(e)
+        k = m - n
+        if e == 0:
+            return mpmath.exp(-x) * a**k * x**n / mpmath.sqrt(
+                mpmath.factorial(m) * mpmath.factorial(n)
+            )
+        return (
+            mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+            * e**n
+            * a**k
+            * mpmath.exp(-x / (e + 1))
+            * mpmath.laguerre(n, k, -x / (e * (e + 1)))
+            / (e + 1) ** (m + 1)
+        )
 
 
 def annihilation(dim):
@@ -248,3 +279,96 @@ class TestRecommendedDim:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             recommended_dim(-1.0, 0.0)
+
+
+class TestDisplacedThermalMatrix:
+    @pytest.mark.parametrize(
+        "x, e, dim",
+        [
+            (5.0, 0.0, 30),  # coherent
+            (0.0, 0.4, 20),  # thermal
+            (0.8, 1e-8, 25),  # near-coherent
+            (2.5, 0.9, 40),
+            (30.0, 3.0, 40),
+            (0.002, 100.0, 40),
+            (400.0, 0.3, 40),
+        ],
+    )
+    def test_matches_mpmath(self, x, e, dim):
+        rho = displaced_thermal_matrix(x, e, dim)
+        want = np.array(
+            [[float(mpmath.re(mp_entry(math.sqrt(x), e, m, n))) for n in range(dim)]
+             for m in range(dim)]
+        )
+        assert np.max(np.abs(rho - want)) < 1e-13
+
+    @pytest.mark.parametrize("alpha, e", [(1.2 + 0.7j, 0.4), (-0.9j, 0.0), (-1.1, 0.2)])
+    def test_to_fock_phase_matches_mpmath(self, alpha, e):
+        dim = 30
+        fm = to_fock(DisplacedThermal(alpha, e), dim)
+        want = np.array(
+            [[complex(mp_entry(alpha, e, m, n)) for n in range(dim)] for m in range(dim)]
+        )
+        assert np.max(np.abs(fm.entries - want)) < 1e-13
+
+    def test_real_alpha_stays_real(self):
+        fm = to_fock(DisplacedThermal(-1.3, 0.2), recommended_dim(1.69, 0.2))
+        assert fm.entries.dtype == np.float64
+
+    def test_batch_equals_scalar_calls(self):
+        xs = np.array([0.0, 0.3, 4.0, 11.0])
+        stack = displaced_thermal_matrix(xs, 0.7, 24)
+        assert stack.shape == (4, 24, 24)
+        for x, mat in zip(xs, stack):
+            assert np.array_equal(mat, displaced_thermal_matrix(x, 0.7, 24))
+
+    def test_entries_past_exp_underflow(self):
+        # e^{-x/(E+1)} = e^{-1000} is far below the double range: every
+        # entry comes from a per-diagonal scale, not from the start value.
+        x, e = 1500.0, 0.5
+        rho = displaced_thermal_matrix(x, e, 1560)
+        for m, n in [(1000, 1000), (1500, 1499), (1540, 1500), (1559, 1300)]:
+            want = float(mpmath.re(mp_entry(math.sqrt(x), e, m, n)))
+            assert want > 1e-300
+            assert abs(rho[m, n] - want) <= 1e-10 * want
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            displaced_thermal_matrix(-0.1, 0.2, 4)
+        with pytest.raises(ValueError):
+            displaced_thermal_matrix(0.1, -0.2, 4)
+        with pytest.raises(ValueError):
+            displaced_thermal_matrix(np.zeros((2, 2)), 0.2, 4)
+
+
+class TestDephasedPmfOracle:
+    def test_deep_tail_matches_mpmath(self):
+        x, e = 1500.0, 0.5
+        ns = np.arange(0, 4200, 41)
+        got = dephased_pmf(x, e, ns)
+        checked = 0
+        for n, p in zip(ns, got):
+            want = float(mpmath.re(mp_entry(math.sqrt(x), e, int(n), int(n))))
+            if want > 1e-300:
+                assert abs(p - want) <= 1e-10 * want
+                checked += 1
+        assert checked > 50
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    x=st.floats(0.0, 25.0),
+    e=st.floats(1e-6, 4.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_state_invariants(x, e, phase):
+    dim = recommended_dim(x, e)
+    alpha = math.sqrt(x) * complex(math.cos(phase), math.sin(phase))
+    fm = to_fock(DisplacedThermal(alpha, e), dim)
+    assert np.trace(fm.entries).real <= 1.0 + 1e-12
+    assert np.min(scipy.linalg.eigvalsh(fm.entries)) >= -1e-10
+    p_err = helstrom_numeric(to_fock(DisplacedThermal(0.0, e), dim), fm)
+    assert 0.0 <= p_err <= 0.5
+    plus = to_fock(DisplacedThermal(math.sqrt(x), e), dim).entries
+    minus = to_fock(DisplacedThermal(-math.sqrt(x), e), dim).entries
+    assert np.max(np.abs(bpsk_mixture_matrix(x, e, dim).entries - 0.5 * (plus + minus))) < 1e-15
