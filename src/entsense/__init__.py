@@ -10,6 +10,7 @@ communication (``communication``), and practical receivers (``receivers``).
 __version__ = "0.1.0"
 
 __all__ = [
+    "EntsenseError",
     "special",
     "gaussian",
     "conversion",
@@ -20,3 +21,9 @@ __all__ = [
     "receivers",
     "cli",
 ]
+
+
+class EntsenseError(Exception):
+    """Base class of the failures the package raises itself (a quadrature
+    that misses its tolerance, a photon-number tail that never closes);
+    bad arguments raise ``ValueError`` instead."""

@@ -52,9 +52,8 @@ from typing import Any
 import numpy as np
 import scipy
 
-from . import __version__
+from . import EntsenseError, __version__
 from .communication import (
-    PhotonTailError,
     capacity_classical,
     capacity_ea,
     green_machine_optimize,
@@ -64,7 +63,7 @@ from .communication import (
     pcr_count_pmfs,
     shannon_photon_counting,
 )
-from .conversion import QuadratureError, conversion_params
+from .conversion import conversion_params
 from .discrimination import (
     PatternHypothesis,
     c2d_exponent_bounds,
@@ -297,6 +296,7 @@ def _comm_task(index, ns, nb, kappa, m, quad_tol):
         pcr_count_pmfs(ns, ch, m, (0.0, math.pi)),
     )
     i_opar, i_pcr = (shannon_photon_counting(p0, p1) / m for p0, p1 in pmf_pairs)
+    chi, achieved = holevo_c2d_cpsk(ns, ch, m, quad_tol, with_achieved=True)
     row = [
         ns,
         nb,
@@ -304,7 +304,7 @@ def _comm_task(index, ns, nb, kappa, m, quad_tol):
         m,
         capacity_classical(ns, ch),
         capacity_ea(ns, ch),
-        holevo_c2d_cpsk(ns, ch, m, quad_tol),
+        chi,
         bpsk.value,
         green.rate,
         green.repetitions,
@@ -312,7 +312,7 @@ def _comm_task(index, ns, nb, kappa, m, quad_tol):
         i_opar,
         i_pcr,
     ]
-    return row, None
+    return row, achieved
 
 
 def _pattern_task(index, ns, nb, kappa, subchannels):
@@ -417,14 +417,11 @@ def _fig4b_task(index, ns, nb):
 
 def _fig5a_task(index, ns, quad_tol):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
-    row = [
-        ns,
-        capacity_classical(ns, ch),
-        capacity_ea(ns, ch),
-        holevo_c2d_cpsk(ns, ch, 1, quad_tol),
-        holevo_c2d_cpsk(ns, ch, 10_000, quad_tol),
-    ]
-    return row, None
+    (chi_1, achieved_1), (chi_10k, achieved_10k) = (
+        holevo_c2d_cpsk(ns, ch, m, quad_tol, with_achieved=True) for m in (1, 10_000)
+    )
+    row = [ns, capacity_classical(ns, ch), capacity_ea(ns, ch), chi_1, chi_10k]
+    return row, max(achieved_1, achieved_10k)
 
 
 def _fig7a_task(index, m, seed, quad_tol):
@@ -462,18 +459,19 @@ def _fig7c_task(index, ns, quad_tol):
     m_count = 1_000
     pmf_opar = opar_photon_pmfs(ns, ch, m_count, (0.0, math.pi))
     pmf_pcr = pcr_count_pmfs(ns, ch, m_count, (0.0, math.pi))
+    chi, achieved = holevo_c2d_cpsk(ns, ch, 10_000, quad_tol, with_achieved=True)
     row = [
         ns,
         capacity_classical(ns, ch),
         capacity_ea(ns, ch),
-        holevo_c2d_cpsk(ns, ch, 10_000, quad_tol),
+        chi,
         green.rate,
         green.repetitions,
         green.codeword_len,
         shannon_photon_counting(*pmf_opar) / m_count,
         shannon_photon_counting(*pmf_pcr) / m_count,
     ]
-    return row, None
+    return row, achieved
 
 
 _TASK_FUNCTIONS = {
@@ -798,7 +796,7 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
         achieved = [a for _, a in results if a is not None]
         _write_csv(config.output_path, columns, rows)
         _write_sidecar(config, columns, len(rows), achieved)
-    except (ValueError, OSError, QuadratureError, PhotonTailError) as exc:
+    except (ValueError, OSError, EntsenseError) as exc:
         return _emit_error(str(exc), 1)
     return 0
 

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtri, gammaincinv
 
+from . import EntsenseError
 from .gaussian import ChannelParams
 from .special import RngStream, scaled_chi2_pdf
 
@@ -46,7 +47,7 @@ class _DiracMassAtZero:
 DIRAC_MASS_AT_ZERO = _DiracMassAtZero()
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(EntsenseError, RuntimeError):
     """Raised when the adaptive quadrature cannot reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float):

@@ -52,9 +52,12 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Upper bound on the bytes of one stack of node matrices in p_c2d; the
-# stack lives in every forked CLI worker.
+# Upper bound on the bytes of one stack of per-node arrays (p_c2d's node
+# matrices, holevo_cpsk_conditional's pmf rows); the stack lives in every
+# forked CLI worker.
 _NODE_BLOCK_BYTES = 2**21
+# Largest trace deficit of a p_c2d node matrix, the FockMatrix default.
+_NODE_TAIL_TOL = 1e-9
 
 
 def _golden_section_min(
@@ -100,8 +103,12 @@ def helstrom_numeric(rho: FockMatrix, sigma: FockMatrix, p0: float = 0.5) -> flo
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    diff = p0 * rho.entries - (1.0 - p0) * sigma.entries
-    eigs = scipy.linalg.eigvalsh(diff)
+    return _helstrom_error(rho.entries, sigma.entries, p0)
+
+
+def _helstrom_error(rho: np.ndarray, sigma: np.ndarray, p0: float) -> float:
+    """``(1 - ||p0 rho - (1-p0) sigma||_1) / 2`` on raw, unvalidated arrays."""
+    eigs = scipy.linalg.eigvalsh(p0 * rho - (1.0 - p0) * sigma)
     return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
 
 
@@ -205,7 +212,9 @@ def p_c2d(
     quad_tol : float
         Relative quadrature tolerance.
     fock_dim : int, optional
-        Override the automatic Fock cutoff (used for robustness checks).
+        Override the automatic Fock cutoff (used for robustness checks); a
+        cutoff that leaves some node a trace deficit above 1e-9 raises
+        ``ValueError``.
     with_achieved : bool
         When true, return ``(probability, achieved_tolerance)``.
     """
@@ -214,7 +223,7 @@ def p_c2d(
     dim = fock_dim if fock_dim is not None else max(
         recommended_dim(x_hi, max(n_s, e_noise)), 2
     )
-    rho0 = to_fock(DisplacedThermal(0.0, n_s), dim)
+    rho0 = to_fock(DisplacedThermal(0.0, n_s), dim).entries
     block = max(1, _NODE_BLOCK_BYTES // (8 * dim * dim))
 
     def kernel(x: np.ndarray) -> np.ndarray:
@@ -222,8 +231,16 @@ def p_c2d(
         out = np.empty(x.shape)
         for lo in range(0, x.size, block):
             mats = displaced_thermal_matrix(x[lo : lo + block], e_noise, dim)
+            # Hermitian and PSD by construction, so only the cutoff can fail,
+            # and the trace shows that without an eigensolve per node
+            deficit = 1.0 - np.trace(mats, axis1=1, axis2=2).min()
+            if deficit > _NODE_TAIL_TOL:
+                raise ValueError(
+                    f"dim={dim} leaves a node trace deficit of {deficit:.3e} "
+                    f"> {_NODE_TAIL_TOL:.1e}"
+                )
             for i, mat in enumerate(mats, start=lo):
-                out[i] = helstrom_numeric(rho0, FockMatrix(dim, mat))
+                out[i] = _helstrom_error(rho0, mat, 0.5)
         return out
 
     value, achieved = expect_total_displacement(params, m, kernel, quad_tol)

@@ -246,7 +246,7 @@ def to_fock(state: DisplacedThermal, dim: int, tail_tol: float = 1e-9) -> FockMa
     return _truncated(rho, state.amp_sq, state.e_noise, tail_tol)
 
 
-def dephased_pmf(x: float, e_noise: float, n) -> float | np.ndarray:
+def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
     """Photon pmf of a phase-averaged displaced thermal state.
 
     For squared displacement magnitude ``x`` and thermal occupation ``E``:
@@ -260,28 +260,41 @@ def dephased_pmf(x: float, e_noise: float, n) -> float | np.ndarray:
 
     Parameters
     ----------
-    x : float
-        Squared displacement, ``>= 0``.
+    x : float or 1-D array of float
+        Squared displacement(s), ``>= 0``.  A stack runs one recurrence for
+        all of its rows, each bit-identical to the scalar call.
     e_noise : float
         Thermal occupation, ``>= 0``.
     n : int or array of int
         Photon number(s).
+
+    Returns
+    -------
+    float or ndarray
+        For a scalar ``x``, a float when ``n`` is a scalar and shape
+        ``shape(n)`` otherwise; for a stack, shape ``(len(x),) + shape(n)``.
     """
-    x = float(x)
+    xs = np.asarray(x, dtype=float)
     e = float(e_noise)
-    if x < 0:
+    if xs.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    if not np.all(xs >= 0):
         raise ValueError("x must be nonnegative")
-    if e < 0:
+    if not e >= 0:
         raise ValueError("e_noise must be nonnegative")
     n_arr = np.atleast_1d(np.asarray(n))
     if not np.issubdtype(n_arr.dtype, np.integer) or np.any(n_arr < 0):
         raise ValueError("n must contain nonnegative integers")
-    scalar = np.isscalar(n) or np.asarray(n).ndim == 0
 
+    batch = np.atleast_1d(xs)
     top = int(n_arr.max(initial=-1)) + 1
-    diag = np.array([col[0, 0] for col in _laguerre_columns(np.array([x]), e, top, 1)])
-    result = diag[n_arr]
-    return float(result[0]) if scalar else result.reshape(np.shape(n))
+    diag = np.empty((batch.size, top))
+    for level, col in enumerate(_laguerre_columns(batch, e, top, 1)):
+        diag[:, level] = col[:, 0]
+    result = diag[:, n_arr].reshape(batch.shape + np.shape(n))
+    if xs.ndim:
+        return result
+    return float(result[0]) if np.ndim(n) == 0 else result[0]
 
 
 def photon_pmf(state: DisplacedThermal, n) -> float | np.ndarray:

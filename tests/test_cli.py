@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -439,6 +440,8 @@ class TestCommSweep:
         assert int(rows[0]["green_codeword"]) == green.codeword_len
         assert float(rows[0]["green_rate"]) <= float(rows[0]["chi_cpsk"])
         assert float(rows[0]["i_opar"]) <= float(rows[0]["chi_cpsk"])
+        meta = json.loads((tmp_path / "comm.csv.json").read_text())
+        assert 0.0 <= meta["achieved_quadrature_tolerance"] <= meta["quad_tol"]
 
 
 class TestFigurePresets:
@@ -505,6 +508,14 @@ class TestModeCountBisection:
         assert cli._mode_count_for_classical_level(0.5, ch, 0.5) == 1
 
 
+def subprocess_env():
+    """This environment, with the imported entsense package on PYTHONPATH,
+    so a child interpreter runs the code under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sub.csv"
@@ -525,6 +536,7 @@ class TestSubprocessEntry:
             ],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and (tmp_path / "sub.csv.json").exists()
@@ -534,6 +546,7 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "entsense.cli", "illumination", "--kappa", "2"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 2
         payload = json.loads(proc.stderr.strip().splitlines()[-1])

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from entsense import communication
 from entsense.communication import (
     BpskHolevo,
     GreenMachineConfig,
+    PhotonTailError,
     capacity_classical,
     capacity_ea,
     g_entropy,
@@ -123,11 +127,61 @@ class TestHolevoCpskConditional:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             holevo_cpsk_conditional(-1.0, 0.5)
+        with pytest.raises(ValueError):
+            holevo_cpsk_conditional(np.array([0.4, -1.0, 2.0]), 0.5)
+
+    def test_open_tail_raises(self, monkeypatch):
+        # the thermal tail at E = 50 needs about 1,400 levels to fall below
+        # 1e-12, and the first cutoff is 585: cap the doubling below that
+        monkeypatch.setattr(communication, "_MAX_PHOTON_LEVELS", 1000)
+        with pytest.raises(PhotonTailError):
+            holevo_cpsk_conditional(np.array([0.5, 0.0, 0.2]), 50.0)
+
+    def test_large_stack_respects_block_bound(self, monkeypatch):
+        shapes = []
+        pmf = communication.dephased_pmf
+
+        def recording(x, e_noise, n):
+            shapes.append((np.size(x), np.size(n)))
+            return pmf(x, e_noise, n)
+
+        monkeypatch.setattr(communication, "dephased_pmf", recording)
+        # 120 live rows at a 3,800-level cutoff hold 3.6 MB of pmf
+        xs = np.tile([3000.0, 0.0, 1.0, 2500.0], 40)
+        got = holevo_cpsk_conditional(xs, 0.5)
+        assert len(shapes) > 1
+        for rows, levels in shapes:
+            assert rows * levels * 8 <= communication._NODE_BLOCK_BYTES
+        assert sum(rows for rows, _ in shapes) == 120
+        assert np.all(got[1::4] == 0.0)
+        assert np.all(got[2::4] == holevo_cpsk_conditional(1.0, 0.5))
+        assert np.all(got[::4] > got[3::4]) and np.all(got[3::4] > got[2::4])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)), min_size=1, max_size=8),
+    e=st.one_of(st.just(0.0), st.floats(1e-9, 5.0)),
+    tail_mass=st.sampled_from([1e-12, 1e-10]),
+)
+@example(xs=[0.0, 0.7, 0.0, 12.0], e=0.0, tail_mass=1e-12)
+def test_stacked_conditional_rows_equal_scalar_calls(xs, e, tail_mass):
+    stacked = holevo_cpsk_conditional(np.array(xs), e, tail_mass)
+    assert stacked.shape == (len(xs),)
+    for value, x in zip(stacked, xs):
+        assert value == holevo_cpsk_conditional(x, e, tail_mass)
 
 
 class TestHolevoC2dCpsk:
     def test_no_coupling(self):
-        assert holevo_c2d_cpsk(1e-3, ChannelParams(0.0, 0.0, 100.0), 10) == 0.0
+        ch = ChannelParams(0.0, 0.0, 100.0)
+        assert holevo_c2d_cpsk(1e-3, ch, 10) == 0.0
+        assert holevo_c2d_cpsk(1e-3, ch, 10, with_achieved=True) == (0.0, 0.0)
+
+    def test_reports_achieved_tolerance(self):
+        value, achieved = holevo_c2d_cpsk(1e-3, FIG5, 100, 1e-6, with_achieved=True)
+        assert value == holevo_c2d_cpsk(1e-3, FIG5, 100, 1e-6)
+        assert 0.0 <= achieved <= 1e-6
 
     def test_large_m_concentrates(self):
         m = 10**4

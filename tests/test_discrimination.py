@@ -163,6 +163,10 @@ class TestPC2d:
         doubled = p_c2d(0.001, FIG2A, 10**6, fock_dim=80)
         assert abs(doubled - base) / base < 1e-8
 
+    def test_rejects_cutoff_that_truncates_nodes(self):
+        with pytest.raises(ValueError, match="trace deficit"):
+            p_c2d(0.001, FIG2A, 10**6, fock_dim=6)
+
     def test_rejects_rotated_hypotheses(self):
         with pytest.raises(ValueError, match="theta"):
             p_c2d(0.001, ChannelParams(0.01, 0.3, 20.0), 100)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, gammaln
@@ -227,6 +227,32 @@ class TestDephasedPmf:
             dephased_pmf(-0.1, 0.2, 3)
         with pytest.raises(ValueError):
             dephased_pmf(0.1, 0.2, -3)
+        with pytest.raises(ValueError):
+            dephased_pmf(np.array([0.3, -0.1]), 0.2, 3)
+        with pytest.raises(ValueError):
+            dephased_pmf(np.zeros((2, 2)), 0.2, 3)
+
+    def test_stack_shapes(self):
+        n = np.array([[0, 1], [2, 3]])
+        assert isinstance(dephased_pmf(0.3, 0.1, 2), float)
+        assert dephased_pmf(0.3, 0.1, n).shape == (2, 2)
+        assert dephased_pmf(np.array([0.3]), 0.1, 2).shape == (1,)
+        assert dephased_pmf(np.array([0.3, 0.0, 4.0]), 0.1, n).shape == (3, 2, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1, max_size=8),
+    e=st.one_of(st.just(0.0), st.floats(1e-9, 5.0)),
+    top=st.integers(1, 120),
+)
+@example(xs=[0.0, 3.0, 0.0, 45.0], e=0.0, top=100)
+def test_stacked_pmf_rows_equal_scalar_calls(xs, e, top):
+    n = np.arange(top)
+    stacked = dephased_pmf(np.array(xs), e, n)
+    assert stacked.shape == (len(xs), top)
+    for row, x in zip(stacked, xs):
+        assert np.array_equal(row, dephased_pmf(x, e, n))
 
 
 class TestBpskMixture:
