@@ -14,6 +14,10 @@ rows are assembled in grid order and Monte Carlo subcommands seed a
 counter-based stream per grid point, so reruns with the same seed are
 byte-identical regardless of parallelism.
 
+One table gives each subcommand and ``figures`` preset its CSV columns,
+grid axes, row function and options; a second gives each option its
+default, check, flag type and help.  The argument parser is built from both.
+
 Subcommands
 -----------
 illumination
@@ -39,6 +43,7 @@ figures
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import itertools
 import json
@@ -47,7 +52,7 @@ import os
 import platform
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import scipy
@@ -90,9 +95,11 @@ __all__ = ["SweepConfig", "main", "parse_grid", "run"]
 
 THREADS_ENV_VAR = "ENTSENSE_THREADS"
 
-_SUBCOMMANDS = ("illumination", "phase", "comm", "pattern", "receiver-sim", "figures")
-_FIGURE_PRESETS = ("2a", "2b", "3a", "4a", "4b", "5a", "7a", "7c")
 _RECEIVERS = ("dolinar", "kennedy", "homodyne", "heterodyne")
+
+
+def _geomspace(start: float, stop: float, count: int) -> tuple[float, ...]:
+    return tuple(float(v) for v in np.geomspace(start, stop, count))
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -112,23 +119,26 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError("log grid needs at least one point")
         if start <= 0.0 or stop <= 0.0:
             raise ValueError("log grid endpoints must be positive")
-        return tuple(float(v) for v in np.geomspace(start, stop, count))
+        return _geomspace(start, stop, count)
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise ValueError("grid specification is empty")
     return values
 
 
-def _as_grid(name: str, raw: Any) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        values = parse_grid(raw)
-    else:
-        values = tuple(float(v) for v in raw)
+def _as_grid(name: str, raw: Any, low: float, high: float = math.inf) -> tuple[float, ...]:
+    try:
+        if isinstance(raw, str):
+            values = parse_grid(raw)
+        else:
+            values = tuple(float(v) for v in raw)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
     if not values:
         raise ValueError(f"{name} grid must not be empty")
     for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} grid contains a non-finite value")
+        if not (math.isfinite(v) and low <= v <= high):
+            raise ValueError(f"{name} grid values must be finite and in [{low:g}, {high:g}]")
     return values
 
 
@@ -155,107 +165,97 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.subcommand not in _SUBCOMMANDS:
             raise ValueError(
-                f"unknown subcommand {self.subcommand!r}; expected one of {_SUBCOMMANDS}"
+                f"unknown subcommand {self.subcommand!r}; "
+                f"expected one of {tuple(_SUBCOMMANDS)}"
             )
-        object.__setattr__(self, "ns", _as_grid("ns", self.ns))
-        object.__setattr__(self, "nb", _as_grid("nb", self.nb))
-        object.__setattr__(self, "kappa", _as_grid("kappa", self.kappa))
-        m_values = _as_grid("m", self.m)
-        for v in self.ns:
-            if v < 0.0:
-                raise ValueError("ns grid values must be nonnegative")
-        for v in self.nb:
-            if v < 0.0:
-                raise ValueError("nb grid values must be nonnegative")
-        for v in self.kappa:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("kappa grid values must lie in [0, 1]")
-        m_ints = []
-        for v in m_values:
-            if v != int(v) or v < 1:
-                raise ValueError("m grid values must be integers >= 1")
-            m_ints.append(int(v))
-        object.__setattr__(self, "m", tuple(m_ints))
+        object.__setattr__(self, "ns", _as_grid("ns", self.ns, 0.0))
+        object.__setattr__(self, "nb", _as_grid("nb", self.nb, 0.0))
+        object.__setattr__(self, "kappa", _as_grid("kappa", self.kappa, 0.0, 1.0))
+        m_values = _as_grid("m", self.m, 1.0)
+        object.__setattr__(self, "m", tuple(_count("m", v) for v in m_values))
         seed = self.seed
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
             raise ValueError("seed must be an integer")
         if not 0 <= int(seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "seed", int(seed))
-        quad_tol = float(self.quad_tol)
+        quad_tol = _finite("quad_tol", self.quad_tol)
         if not 0.0 < quad_tol <= 1e-2:
             raise ValueError("quad_tol must lie in (0, 1e-2]")
         object.__setattr__(self, "quad_tol", quad_tol)
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ValueError("output_path must be a non-empty string")
-        object.__setattr__(
-            self, "options", _validate_options(self.subcommand, dict(self.options))
-        )
-
-
-def _validate_options(subcommand: str, options: dict[str, Any]) -> dict[str, Any]:
-    allowed = {
-        "illumination": set(),
-        "phase": {"theta"},
-        "comm": set(),
-        "pattern": {"subchannels"},
-        "receiver-sim": {"receiver", "alpha", "slices", "trials", "noise_nb"},
-        "figures": {"which"},
-    }[subcommand]
-    unknown = set(options) - allowed
-    if unknown:
-        raise ValueError(f"unknown option(s) for {subcommand}: {sorted(unknown)}")
-    if subcommand == "phase":
-        theta = float(options.get("theta", math.pi / 2.0))
-        if not math.isfinite(theta):
-            raise ValueError("theta must be finite")
-        options["theta"] = theta
-    elif subcommand == "pattern":
-        cells = options.get("subchannels", 3)
-        if int(cells) != cells or int(cells) < 1:
-            raise ValueError("subchannels must be an integer >= 1")
-        options["subchannels"] = int(cells)
-    elif subcommand == "receiver-sim":
-        receiver = options.get("receiver", "dolinar")
-        if receiver not in _RECEIVERS:
-            raise ValueError(f"receiver must be one of {_RECEIVERS}")
-        options["receiver"] = receiver
-        raw_alpha = options.get("alpha", ((1.0, 0.0),))
-        if isinstance(raw_alpha, str):
-            tokens = [tok for tok in raw_alpha.split(",") if tok.strip()]
-            parsed = tuple(complex(tok) for tok in tokens)
-        else:
-            parsed = tuple(
-                complex(float(pair[0]), float(pair[1])) for pair in raw_alpha
-            )
-        if not parsed:
-            raise ValueError("alpha list must not be empty")
-        options["alpha"] = tuple((a.real, a.imag) for a in parsed)
-        slices = options.get("slices", 50)
-        trials = options.get("trials", 10_000)
-        for name, value in (("slices", slices), ("trials", trials)):
-            if int(value) != value or int(value) < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        options["slices"] = int(slices)
-        options["trials"] = int(trials)
-        noise_nb = float(options.get("noise_nb", 0.0))
-        if noise_nb < 0.0 or not math.isfinite(noise_nb):
-            raise ValueError("noise_nb must be finite and nonnegative")
-        options["noise_nb"] = noise_nb
-    elif subcommand == "figures":
-        which = options.get("which")
-        if which not in _FIGURE_PRESETS:
-            raise ValueError(f"figures preset must be one of {_FIGURE_PRESETS}")
-    return options
+        names = _SUBCOMMANDS[self.subcommand][1]
+        unknown = set(self.options) - set(names)
+        if unknown:
+            raise ValueError(f"unknown option(s) for {self.subcommand}: {sorted(unknown)}")
+        options = {}
+        for name in names:
+            spec = _OPTIONS[name]
+            options[name] = spec.validate(name, self.options.get(name, spec.default))
+        object.__setattr__(self, "options", options)
 
 
 # ---------------------------------------------------------------------------
-# grid-point workers (module level so they pickle into worker processes)
+# option checks: each takes the option's name and its raw value (a flag, a
+# config-file entry or a SweepConfig argument) and returns the value or
+# raises ValueError
 
 
-def _illumination_task(index, ns, nb, kappa, m, quad_tol):
+def _finite(name: str, value: Any) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a number") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _nonnegative(name: str, value: Any) -> float:
+    value = _finite(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return value
+
+
+def _count(name: str, value: Any) -> int:
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count != value or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return count
+
+
+def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
+    """Comma-separated complex literals, or a list of ``[re, im]`` pairs."""
+    try:
+        if isinstance(raw, str):
+            tokens = [tok for tok in raw.split(",") if tok.strip()]
+            parsed = tuple(complex(tok) for tok in tokens)
+        else:
+            parsed = tuple(
+                complex(float(pair[0]), float(pair[1])) for pair in raw
+            )
+    except (TypeError, LookupError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a string or a list of [re, im] pairs") from exc
+    if not parsed:
+        raise ValueError(f"{name} list must not be empty")
+    if not all(cmath.isfinite(a) for a in parsed):
+        raise ValueError(f"{name} values must be finite")
+    return tuple((a.real, a.imag) for a in parsed)
+
+
+# ---------------------------------------------------------------------------
+# row functions: (config, index, *grid point) -> (row, achieved quadrature
+# tolerance or None); module level so they pickle into worker processes
+
+
+def _illumination_row(config, index, ns, nb, kappa, m):
     ch = ChannelParams(kappa=kappa, theta=0.0, n_b=nb)
-    value, achieved = p_c2d(ns, ch, m, quad_tol, with_achieved=True)
+    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
     row = [
         ns,
         nb,
@@ -269,7 +269,8 @@ def _illumination_task(index, ns, nb, kappa, m, quad_tol):
     return row, achieved
 
 
-def _phase_task(index, ns, nb, kappa, m, theta):
+def _phase_row(config, index, ns, nb, kappa, m):
+    theta = config.options["theta"]
     ch = ChannelParams(kappa=kappa, theta=theta, n_b=nb)
     row = [
         ns,
@@ -287,7 +288,8 @@ def _phase_task(index, ns, nb, kappa, m, theta):
     return row, None
 
 
-def _comm_task(index, ns, nb, kappa, m, quad_tol):
+def _comm_row(config, index, ns, nb, kappa, m):
+    quad_tol = config.quad_tol
     ch = ChannelParams(kappa=kappa, theta=0.0, n_b=nb)
     bpsk = holevo_c2d_bpsk(ns, ch, m)
     green = green_machine_optimize(ns, ch, quad_tol)
@@ -315,7 +317,8 @@ def _comm_task(index, ns, nb, kappa, m, quad_tol):
     return row, achieved
 
 
-def _pattern_task(index, ns, nb, kappa, subchannels):
+def _pattern_row(config, index, ns, nb, kappa):
+    subchannels = config.options["subchannels"]
     absent = PatternHypothesis(((0.0, 0.0),) * subchannels, nb)
     present = PatternHypothesis(((kappa, 0.0),) * subchannels, nb)
     exps = pattern_exponents(absent, present, (ns,) * subchannels)
@@ -333,11 +336,15 @@ def _pattern_task(index, ns, nb, kappa, subchannels):
     return row, None
 
 
-def _receiver_task(index, receiver, alpha_re, alpha_im, slices, trials, noise_nb, seed):
+def _receiver_row(config, index, amplitude):
+    opts = config.options
+    receiver, noise_nb = opts["receiver"], opts["noise_nb"]
+    alpha_re, alpha_im = amplitude
     alpha = complex(alpha_re, alpha_im)
     if receiver == "dolinar":
+        slices, trials = opts["slices"], opts["trials"]
         cfg = DolinarConfig(slices=slices, trials=trials, noise_nb=noise_nb)
-        rate, stderr = dolinar_simulate(alpha, cfg, RngStream(seed, index))
+        rate, stderr = dolinar_simulate(alpha, cfg, RngStream(config.seed, index))
         row = [receiver, alpha_re, alpha_im, slices, noise_nb, trials, rate, stderr]
         return row, None
     if receiver == "kennedy":
@@ -349,14 +356,14 @@ def _receiver_task(index, receiver, alpha_re, alpha_im, slices, trials, noise_nb
     return [receiver, alpha_re, alpha_im, 0, noise_nb, 0, rate, 0.0], None
 
 
-def _fig2a_task(index, m, quad_tol):
+def _fig2a_row(config, index, m):
     ns, ch = 1e-3, ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
-    value, achieved = p_c2d(ns, ch, m, quad_tol, with_achieved=True)
+    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
     row = [m, value, nair_gu_bound(ns, ch, m), p_classical_coherent(ns, ch, m)]
     return row, achieved
 
 
-def _fig2b_task(index, ns, nb):
+def _fig2b_row(config, index, ns, nb):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
     exps = c2d_exponent_bounds(ns, ch)
     row = [
@@ -391,16 +398,16 @@ def _mode_count_for_classical_level(ns, ch, level):
     return hi
 
 
-def _fig3a_task(index, ns, nb, quad_tol):
+def _fig3a_row(config, index, ns, nb):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
     m = _mode_count_for_classical_level(ns, ch, 0.05)
-    value, achieved = p_c2d(ns, ch, m, quad_tol, with_achieved=True)
+    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
     benchmark = p_classical_coherent(ns, ch, m)
     row = [ns, nb, m, value, benchmark, value / benchmark]
     return row, achieved
 
 
-def _fig4a_task(index, ns):
+def _fig4a_row(config, index, ns):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
     f_c2d = qfi_c2d(ns, ch, 1)
     f_cs = qfi_cs(ns, ch, 1)
@@ -409,24 +416,26 @@ def _fig4a_task(index, ns):
     return row, None
 
 
-def _fig4b_task(index, ns, nb):
+def _fig4b_row(config, index, ns, nb):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
     row = [ns, nb, qfi_c2d(ns, ch, 1) / qfi_cs(ns, ch, 1)]
     return row, None
 
 
-def _fig5a_task(index, ns, quad_tol):
+def _fig5a_row(config, index, ns):
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
     (chi_1, achieved_1), (chi_10k, achieved_10k) = (
-        holevo_c2d_cpsk(ns, ch, m, quad_tol, with_achieved=True) for m in (1, 10_000)
+        holevo_c2d_cpsk(ns, ch, m, config.quad_tol, with_achieved=True)
+        for m in (1, 10_000)
     )
     row = [ns, capacity_classical(ns, ch), capacity_ea(ns, ch), chi_1, chi_10k]
     return row, max(achieved_1, achieved_10k)
 
 
-def _fig7a_task(index, m, seed, quad_tol):
+def _fig7a_row(config, index, m):
+    seed = config.seed
     ns, ch = 1e-3, ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
-    value, achieved = p_c2d(ns, ch, m, quad_tol, with_achieved=True)
+    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
     params = conversion_params(ns, ch)
     amps = sample_scaled_chi2(
         m, params.xi, RngStream(seed, 2 * index).generator(), size=8
@@ -453,7 +462,8 @@ def _fig7a_task(index, m, seed, quad_tol):
     return row, achieved
 
 
-def _fig7c_task(index, ns, quad_tol):
+def _fig7c_row(config, index, ns):
+    quad_tol = config.quad_tol
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
     green = green_machine_optimize(ns, ch, quad_tol)
     m_count = 1_000
@@ -474,64 +484,46 @@ def _fig7c_task(index, ns, quad_tol):
     return row, achieved
 
 
-_TASK_FUNCTIONS = {
-    "illumination": _illumination_task,
-    "phase": _phase_task,
-    "comm": _comm_task,
-    "pattern": _pattern_task,
-    "receiver": _receiver_task,
-    "fig2a": _fig2a_task,
-    "fig2b": _fig2b_task,
-    "fig3a": _fig3a_task,
-    "fig4a": _fig4a_task,
-    "fig4b": _fig4b_task,
-    "fig5a": _fig5a_task,
-    "fig7a": _fig7a_task,
-    "fig7c": _fig7c_task,
-}
-
-
-def _run_task(task):
-    kind, index, payload = task
-    return _TASK_FUNCTIONS[kind](index, **payload)
-
-
 # ---------------------------------------------------------------------------
-# planning: subcommand -> (columns, ordered task list)
+# the sweep table: one entry per subcommand and per figures preset
 
 
-def _channel_grid(config: SweepConfig):
-    return itertools.product(config.ns, config.nb, config.kappa, config.m)
+@dataclass(frozen=True)
+class _Sweep:
+    """One CSV schema: its columns, ``axes(config)`` whose product is the
+    grid (in row order), the row function, and the option names it reads."""
+
+    columns: tuple[str, ...]
+    axes: Callable[[SweepConfig], tuple]
+    row: Callable
+    options: tuple[str, ...] = ()
+    help: str = ""
 
 
-def _plan(config: SweepConfig):
-    if config.subcommand == "illumination":
-        columns = [
-            "n_s",
-            "n_b",
-            "kappa",
-            "m",
-            "p_c2d",
-            "nair_gu_lower",
-            "lemma1_upper",
-            "p_cs_helstrom",
-        ]
-        tasks = [
-            (
-                "illumination",
-                i,
-                {"ns": ns, "nb": nb, "kappa": kappa, "m": m, "quad_tol": config.quad_tol},
-            )
-            for i, (ns, nb, kappa, m) in enumerate(_channel_grid(config))
-        ]
-        return columns, tasks
-    if config.subcommand == "phase":
-        theta = config.options["theta"]
-        columns = [
-            "n_s",
-            "n_b",
-            "kappa",
-            "m",
+def _channel_axes(config):
+    return config.ns, config.nb, config.kappa, config.m
+
+
+_CHANNEL_COLUMNS = ("n_s", "n_b", "kappa", "m")
+# comm and 7c both end on the Green machine and the photon-counting rates
+_RECEIVER_RATE_COLUMNS = (
+    "green_rate",
+    "green_repetitions",
+    "green_codeword",
+    "i_opar",
+    "i_pcr",
+)
+
+_SWEEPS = {
+    "illumination": _Sweep(
+        _CHANNEL_COLUMNS + ("p_c2d", "nair_gu_lower", "lemma1_upper", "p_cs_helstrom"),
+        _channel_axes,
+        _illumination_row,
+        help="target-detection sweep",
+    ),
+    "phase": _Sweep(
+        _CHANNEL_COLUMNS
+        + (
             "theta",
             "qfi_c2d",
             "qfi_cs",
@@ -539,40 +531,22 @@ def _plan(config: SweepConfig):
             "qfi_tmsv",
             "fi_opar",
             "fi_pcr",
-        ]
-        tasks = [
-            ("phase", i, {"ns": ns, "nb": nb, "kappa": kappa, "m": m, "theta": theta})
-            for i, (ns, nb, kappa, m) in enumerate(_channel_grid(config))
-        ]
-        return columns, tasks
-    if config.subcommand == "comm":
-        columns = [
-            "n_s",
-            "n_b",
-            "kappa",
-            "m",
-            "c_classical",
-            "c_ea",
-            "chi_cpsk",
-            "chi_bpsk",
-            "green_rate",
-            "green_repetitions",
-            "green_codeword",
-            "i_opar",
-            "i_pcr",
-        ]
-        tasks = [
-            (
-                "comm",
-                i,
-                {"ns": ns, "nb": nb, "kappa": kappa, "m": m, "quad_tol": config.quad_tol},
-            )
-            for i, (ns, nb, kappa, m) in enumerate(_channel_grid(config))
-        ]
-        return columns, tasks
-    if config.subcommand == "pattern":
-        cells = config.options["subchannels"]
-        columns = [
+        ),
+        _channel_axes,
+        _phase_row,
+        options=("theta",),
+        help="Fisher-information sweep",
+    ),
+    "comm": _Sweep(
+        _CHANNEL_COLUMNS
+        + ("c_classical", "c_ea", "chi_cpsk", "chi_bpsk")
+        + _RECEIVER_RATE_COLUMNS,
+        _channel_axes,
+        _comm_row,
+        help="communication-rate sweep",
+    ),
+    "pattern": _Sweep(
+        (
             "n_s",
             "n_b",
             "kappa",
@@ -581,17 +555,14 @@ def _plan(config: SweepConfig):
             "r_entangled",
             "r_entangled_refined",
             "ratio_refined_classical",
-        ]
-        tasks = [
-            ("pattern", i, {"ns": ns, "nb": nb, "kappa": kappa, "subchannels": cells})
-            for i, (ns, nb, kappa) in enumerate(
-                itertools.product(config.ns, config.nb, config.kappa)
-            )
-        ]
-        return columns, tasks
-    if config.subcommand == "receiver-sim":
-        opts = config.options
-        columns = [
+        ),
+        lambda c: (c.ns, c.nb, c.kappa),
+        _pattern_row,
+        options=("subchannels",),
+        help="pattern-classification exponents",
+    ),
+    "receiver-sim": _Sweep(
+        (
             "receiver",
             "alpha_re",
             "alpha_im",
@@ -600,102 +571,123 @@ def _plan(config: SweepConfig):
             "trials",
             "error_rate",
             "stderr",
-        ]
-        tasks = [
-            (
-                "receiver",
-                i,
-                {
-                    "receiver": opts["receiver"],
-                    "alpha_re": re,
-                    "alpha_im": im,
-                    "slices": opts["slices"],
-                    "trials": opts["trials"],
-                    "noise_nb": opts["noise_nb"],
-                    "seed": config.seed,
-                },
-            )
-            for i, (re, im) in enumerate(opts["alpha"])
-        ]
-        return columns, tasks
-    return _figures_plan(config)
+        ),
+        lambda c: (c.options["alpha"],),
+        _receiver_row,
+        options=("receiver", "alpha", "slices", "trials", "noise_nb"),
+        help="coherent-state receiver curves",
+    ),
+}
+
+_M_GRID = tuple(int(round(v)) for v in np.geomspace(1e5, 1e7, 7))
+
+_PRESETS = {
+    "2a": _Sweep(
+        ("M", "P_c2d", "P_NG", "P_H_CS"),
+        lambda c: (_M_GRID,),
+        _fig2a_row,
+    ),
+    "2b": _Sweep(
+        ("n_s", "n_b", "r_c2d_lower", "r_cs", "r_asymptotic", "advantage"),
+        lambda c: (_geomspace(1e-3, 10.0, 20),) * 2,
+        _fig2b_row,
+    ),
+    "3a": _Sweep(
+        ("n_s", "n_b", "m", "p_c2d", "p_cs_helstrom", "ratio"),
+        lambda c: (_geomspace(1e-2, 1.0, 5), _geomspace(0.1, 10.0, 5)),
+        _fig3a_row,
+    ),
+    "4a": _Sweep(
+        ("n_s", "qfi_c2d", "qfi_cs", "qfi_upper", "ratio_c2d", "ratio_upper"),
+        lambda c: (_geomspace(1e-6, 1.0, 25),),
+        _fig4a_row,
+    ),
+    "4b": _Sweep(
+        ("n_s", "n_b", "ratio_c2d_cs"),
+        lambda c: (_geomspace(1e-2, 10.0, 20),) * 2,
+        _fig4b_row,
+    ),
+    "5a": _Sweep(
+        ("n_s", "c_classical", "c_ea", "chi_m1", "chi_m10000"),
+        lambda c: (_geomspace(1e-4, 1e-2, 9),),
+        _fig5a_row,
+    ),
+    "7a": _Sweep(
+        ("M", "p_c2d", "dolinar_rate", "dolinar_stderr", "p_pcr", "p_opar", "p_homodyne"),
+        lambda c: (_M_GRID,),
+        _fig7a_row,
+    ),
+    "7c": _Sweep(
+        ("n_s", "c_classical", "c_ea", "chi_m10000") + _RECEIVER_RATE_COLUMNS,
+        lambda c: (_geomspace(1e-4, 1e-2, 7),),
+        _fig7c_row,
+    ),
+}
+
+# subcommand -> (help, option names)
+_SUBCOMMANDS = {name: (s.help, s.options) for name, s in _SWEEPS.items()}
+_SUBCOMMANDS["figures"] = ("named sweep presets", ("which",))
 
 
-def _figures_plan(config: SweepConfig):
-    which = config.options["which"]
-    quad_tol = config.quad_tol
-    if which == "2a":
-        m_grid = [int(round(v)) for v in np.geomspace(1e5, 1e7, 7)]
-        columns = ["M", "P_c2d", "P_NG", "P_H_CS"]
-        tasks = [
-            ("fig2a", i, {"m": m, "quad_tol": quad_tol}) for i, m in enumerate(m_grid)
-        ]
-    elif which == "2b":
-        grid = np.geomspace(1e-3, 10.0, 20)
-        columns = ["n_s", "n_b", "r_c2d_lower", "r_cs", "r_asymptotic", "advantage"]
-        tasks = [
-            ("fig2b", i, {"ns": float(ns), "nb": float(nb)})
-            for i, (ns, nb) in enumerate(itertools.product(grid, grid))
-        ]
-    elif which == "3a":
-        ns_grid = np.geomspace(1e-2, 1.0, 5)
-        nb_grid = np.geomspace(0.1, 10.0, 5)
-        columns = ["n_s", "n_b", "m", "p_c2d", "p_cs_helstrom", "ratio"]
-        tasks = [
-            ("fig3a", i, {"ns": float(ns), "nb": float(nb), "quad_tol": quad_tol})
-            for i, (ns, nb) in enumerate(itertools.product(ns_grid, nb_grid))
-        ]
-    elif which == "4a":
-        grid = np.geomspace(1e-6, 1.0, 25)
-        columns = ["n_s", "qfi_c2d", "qfi_cs", "qfi_upper", "ratio_c2d", "ratio_upper"]
-        tasks = [("fig4a", i, {"ns": float(ns)}) for i, ns in enumerate(grid)]
-    elif which == "4b":
-        grid = np.geomspace(1e-2, 10.0, 20)
-        columns = ["n_s", "n_b", "ratio_c2d_cs"]
-        tasks = [
-            ("fig4b", i, {"ns": float(ns), "nb": float(nb)})
-            for i, (ns, nb) in enumerate(itertools.product(grid, grid))
-        ]
-    elif which == "5a":
-        grid = np.geomspace(1e-4, 1e-2, 9)
-        columns = ["n_s", "c_classical", "c_ea", "chi_m1", "chi_m10000"]
-        tasks = [
-            ("fig5a", i, {"ns": float(ns), "quad_tol": quad_tol})
-            for i, ns in enumerate(grid)
-        ]
-    elif which == "7a":
-        m_grid = [int(round(v)) for v in np.geomspace(1e5, 1e7, 7)]
-        columns = [
-            "M",
-            "p_c2d",
-            "dolinar_rate",
-            "dolinar_stderr",
-            "p_pcr",
-            "p_opar",
-            "p_homodyne",
-        ]
-        tasks = [
-            ("fig7a", i, {"m": m, "seed": config.seed, "quad_tol": quad_tol})
-            for i, m in enumerate(m_grid)
-        ]
+@dataclass(frozen=True)
+class _Option:
+    """A subcommand option: its default, its check (``parse(name, raw)``,
+    or membership of ``choices``), and the type and help of its flag."""
+
+    default: Any
+    help: str
+    type: Callable[[str], Any] = str
+    parse: Callable[[str, Any], Any] | None = None
+    choices: tuple[str, ...] | None = None
+
+    def validate(self, name: str, raw: Any) -> Any:
+        if self.choices is None:
+            return self.parse(name, raw)
+        if raw not in self.choices:
+            raise ValueError(f"{name} must be one of {self.choices}")
+        return raw
+
+
+_OPTIONS = {
+    "theta": _Option(math.pi / 2.0, "encoded phase (default pi/2)", float, _finite),
+    "subchannels": _Option(3, "cells per pattern (default 3)", int, _count),
+    "receiver": _Option("dolinar", "receiver kind", choices=_RECEIVERS),
+    "alpha": _Option(
+        ((1.0, 0.0),), "comma-separated complex amplitudes", parse=_amplitudes
+    ),
+    "slices": _Option(50, "time slices per measurement", int, _count),
+    "trials": _Option(10_000, "Monte Carlo trials per amplitude", int, _count),
+    "noise_nb": _Option(0.0, "thermal occupation of the noise", float, _nonnegative),
+    "which": _Option(None, "preset id", choices=tuple(_PRESETS)),
+}
+
+# settings every subcommand takes: flag / config-file key ->
+# (SweepConfig field, flag type, help)
+_SETTINGS = {
+    "ns": ("ns", str, "source brightness grid"),
+    "nb": ("nb", str, "background photon-number grid"),
+    "kappa": ("kappa", str, "transmissivity grid"),
+    "m": ("m", str, "mode-count grid"),
+    "seed": ("seed", int, "64-bit seed for Monte Carlo points"),
+    "quad_tol": ("quad_tol", float, "quadrature tolerance"),
+    "out": ("output_path", str, "output CSV path"),
+}
+
+
+def _plan(config: SweepConfig):
+    """Columns and ordered tasks ``(row, config, index, point)``: one task
+    per point of the product of the table entry's axes."""
+    if config.subcommand == "figures":
+        sweep = _PRESETS[config.options["which"]]
     else:
-        grid = np.geomspace(1e-4, 1e-2, 7)
-        columns = [
-            "n_s",
-            "c_classical",
-            "c_ea",
-            "chi_m10000",
-            "green_rate",
-            "green_repetitions",
-            "green_codeword",
-            "i_opar",
-            "i_pcr",
-        ]
-        tasks = [
-            ("fig7c", i, {"ns": float(ns), "quad_tol": quad_tol})
-            for i, ns in enumerate(grid)
-        ]
-    return columns, tasks
+        sweep = _SWEEPS[config.subcommand]
+    grid = enumerate(itertools.product(*sweep.axes(config)))
+    return sweep.columns, [(sweep.row, config, i, point) for i, point in grid]
+
+
+def _run_task(task):
+    row, config, index, point = task
+    return row(config, index, *point)
 
 
 # ---------------------------------------------------------------------------
@@ -815,93 +807,44 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="entsense", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for name, (help_text, option_names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with sweep settings")
-        p.add_argument("--ns", help="source brightness grid")
-        p.add_argument("--nb", help="background photon-number grid")
-        p.add_argument("--kappa", help="transmissivity grid")
-        p.add_argument("--m", help="mode-count grid")
-        p.add_argument("--seed", type=int, help="64-bit seed for Monte Carlo points")
-        p.add_argument("--quad-tol", type=float, help="quadrature tolerance")
-        p.add_argument("--out", help="output CSV path")
+        for key, (_, flag_type, flag_help) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=flag_type, help=flag_help)
         p.add_argument(
             "--threads",
             type=int,
             help=f"worker count (default: ${THREADS_ENV_VAR} or core count)",
         )
-
-    add_common(sub.add_parser("illumination", help="target-detection sweep"))
-    phase = sub.add_parser("phase", help="Fisher-information sweep")
-    add_common(phase)
-    phase.add_argument("--theta", type=float, help="encoded phase (default pi/2)")
-    add_common(sub.add_parser("comm", help="communication-rate sweep"))
-    pattern = sub.add_parser("pattern", help="pattern-classification exponents")
-    add_common(pattern)
-    pattern.add_argument("--subchannels", type=int, help="cells per pattern (default 3)")
-    recv = sub.add_parser("receiver-sim", help="coherent-state receiver curves")
-    add_common(recv)
-    recv.add_argument("--receiver", choices=_RECEIVERS, help="receiver kind")
-    recv.add_argument("--alpha", help="comma-separated complex amplitudes")
-    recv.add_argument("--slices", type=int, help="time slices per measurement")
-    recv.add_argument("--trials", type=int, help="Monte Carlo trials per amplitude")
-    recv.add_argument("--noise-nb", type=float, help="thermal occupation of the noise")
-    figures = sub.add_parser("figures", help="named sweep presets")
-    add_common(figures)
-    figures.add_argument("--which", help=f"preset id, one of {_FIGURE_PRESETS}")
+        for key in option_names:
+            opt = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
-
-
-_FILE_KEYS = {"ns", "nb", "kappa", "m", "seed", "quad_tol", "out"}
-_OPTION_FLAGS = {
-    "phase": ("theta",),
-    "pattern": ("subchannels",),
-    "receiver-sim": ("receiver", "alpha", "slices", "trials", "noise_nb"),
-    "figures": ("which",),
-}
 
 
 def _config_from_args(args) -> tuple[SweepConfig, int | None]:
     subcommand = args.subcommand
-    option_keys = _OPTION_FLAGS.get(subcommand, ())
-    settings: dict[str, Any] = {}
-    options: dict[str, Any] = {}
+    option_names = _SUBCOMMANDS[subcommand][1]
+    values: dict[str, Any] = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(values, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, value in data.items():
-            if key in _FILE_KEYS:
-                settings[key] = value
-            elif key in option_keys:
-                options[key] = value
-            else:
+        for key in values:
+            if key not in _SETTINGS and key not in option_names:
                 raise ValueError(f"unknown config key {key!r} for {subcommand}")
-    for key in ("ns", "nb", "kappa", "m", "seed", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if args.quad_tol is not None:
-        settings["quad_tol"] = args.quad_tol
-    for key in option_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    kwargs: dict[str, Any] = {"subcommand": subcommand, "options": options}
-    for key in ("ns", "nb", "kappa", "m"):
-        if key in settings:
-            kwargs[key] = settings[key]
-    if "seed" in settings:
-        kwargs["seed"] = settings["seed"]
-    if "quad_tol" in settings:
-        kwargs["quad_tol"] = settings["quad_tol"]
-    if "out" in settings:
-        kwargs["output_path"] = settings["out"]
-    return SweepConfig(**kwargs), args.threads
+    for key in (*_SETTINGS, *option_names):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    settings = {_SETTINGS[k][0]: v for k, v in values.items() if k in _SETTINGS}
+    options = {k: v for k, v in values.items() if k in option_names}
+    return SweepConfig(subcommand, options=options, **settings), args.threads
 
 
 def main(argv=None) -> int:

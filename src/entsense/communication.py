@@ -128,9 +128,14 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     mean ``x``: Shannon entropy of the displaced-thermal photon-number pmf
     minus ``g(E)``, in bits.
 
-    The pmf is summed until its cumulative mass exceeds ``1 - tail_mass``.
+    The pmf is summed until its cumulative mass exceeds ``1 - tail_mass``,
+    or until its own geometric decay bounds the mass past the cutoff below
+    ``tail_mass`` (the rounded sum alone can stall a few 1e-15 short of 1).
     ``x`` is a scalar (returns a float) or a 1-D array (returns one value
-    per entry, each bit-identical to the scalar call).  A stack shares one
+    per entry, each bit-identical to the scalar call, except where a row's
+    sum closes only past the scalar call's cutoff: the scalar call then cuts
+    that row on its decay, and the two cuts differ by less than
+    ``tail_mass`` of probability).  A stack shares one
     :func:`dephased_pmf` recurrence per block of rows, with the cutoff sized
     from its largest entry; rows whose tail has not closed are redone at
     twice the cutoff.  A block holds at most 2 MB of pmf, or one row when a
@@ -165,7 +170,22 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
                 cut = int(np.searchsorted(cum[i], 1.0 - tail_mass)) + 1
                 entropy = _shannon_bits(pmf[i, :cut])
                 out[idx[i]] = max(entropy - g_e, 0.0)
-            still_open.append(idx[~closed])
+            # 1 - cum rounds to a few 1e-15, so a tail below that never
+            # closes above.  The pmf is log-concave in n (a Poisson mixture
+            # over a noncentral chi-square intensity), so past its mode the
+            # mass beyond level n is at most p[n] r / (1 - r), r = p[n] / p[n-1].
+            # Such a row (or one that decays to zero) is cut after the first
+            # level where that bound is below tail_mass, whatever the cutoff.
+            open_rows = ~closed
+            for i in np.flatnonzero(open_rows):
+                p = pmf[i]
+                bounded = (p[1:] < p[:-1]) & (p[1:] ** 2 <= tail_mass * (p[:-1] - p[1:]))
+                if bounded[-1] or p[-1] == 0.0:
+                    bounded[: np.argmax(p)] = False
+                    cut = int(np.argmax(bounded)) + 2
+                    out[idx[i]] = max(_shannon_bits(p[:cut]) - g_e, 0.0)
+                    open_rows[i] = False
+            still_open.append(idx[open_rows])
         todo = np.concatenate(still_open)
         if todo.size and n_hi > _MAX_PHOTON_LEVELS:
             raise PhotonTailError("photon-number tail did not close")

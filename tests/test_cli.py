@@ -101,6 +101,8 @@ class TestSweepConfig:
             {"subcommand": "receiver-sim", "options": {"noise_nb": -0.5}},
             {"subcommand": "pattern", "options": {"subchannels": 0}},
             {"subcommand": "phase", "options": {"theta": math.inf}},
+            {"subcommand": "receiver-sim", "options": {"alpha": "nan"}},
+            {"subcommand": "receiver-sim", "options": {"alpha": [[math.inf, 0.0]]}},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -237,6 +239,35 @@ class TestDeterminism:
         assert cli.THREADS_ENV_VAR in err["error"]
 
 
+# A two-point sweep per subcommand; every subcommand in the table needs one.
+TWO_POINT_SWEEPS = {
+    "illumination": {"ns": (1e-3, 1e-2), "m": (100,)},
+    "phase": {"ns": (1e-3, 1e-2)},
+    "comm": {"ns": (1e-3, 1e-2), "nb": (1.0,), "m": (10,)},
+    "pattern": {"ns": (1e-3, 1e-2)},
+    "receiver-sim": {
+        "options": {"alpha": "0.6,1.2", "slices": 20, "trials": 1000, "noise_nb": 0.01}
+    },
+}
+
+
+class TestWorkerCountIndependence:
+    @pytest.mark.parametrize(
+        "subcommand, settings",
+        [(name, TWO_POINT_SWEEPS[name]) for name in cli._SWEEPS]
+        + [("figures", {"options": {"which": which}}) for which in ("2b", "4a", "4b")],
+    )
+    def test_same_bytes_at_one_and_two_workers(self, tmp_path, subcommand, settings):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            config = SweepConfig(subcommand, output_path=str(out), **settings)
+            assert run(config, threads=threads) == 0
+            sidecar = tmp_path / f"t{threads}.csv.json"
+            outputs.append((out.read_bytes(), sidecar.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 class TestReceiverClosedForms:
     @pytest.mark.parametrize(
         "receiver, alpha, expected",
@@ -299,6 +330,25 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         assert main(["comm", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "subcommand, text",
+        [
+            ("pattern", '{"subchannels": null}'),
+            ("phase", '{"theta": null}'),
+            ("receiver-sim", '{"trials": Infinity}'),
+            ("receiver-sim", '{"alpha": 1.0}'),
+            ("illumination", '{"ns": 5}'),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, subcommand, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = str(tmp_path / "x.csv")
+        assert main([subcommand, "--config", str(cfg), "--out", out, "--threads", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_status"] == 2
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code = main(["pattern", "--out", "/no_such_dir/out.csv", "--threads", "1"])
@@ -488,12 +538,12 @@ class TestFigurePresets:
     def test_heavy_preset_plans(self, which, n_tasks, first_column):
         # plan only: the full runs take seconds to minutes each
         config = SweepConfig(subcommand="figures", options={"which": which})
-        columns, tasks = cli._figures_plan(config)
+        columns, tasks = cli._plan(config)
         assert columns[0] == first_column
         assert len(tasks) == n_tasks
-        kinds = {t[0] for t in tasks}
-        assert kinds == {f"fig{which}"}
-        assert [t[1] for t in tasks] == list(range(n_tasks))
+        rows = {t[0] for t in tasks}
+        assert rows == {getattr(cli, f"_fig{which}_row")}
+        assert [t[2] for t in tasks] == list(range(n_tasks))
 
 
 class TestModeCountBisection:

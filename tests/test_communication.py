@@ -137,6 +137,27 @@ class TestHolevoCpskConditional:
         with pytest.raises(PhotonTailError):
             holevo_cpsk_conditional(np.array([0.5, 0.0, 0.2]), 50.0)
 
+    @pytest.mark.parametrize(
+        "xs, e",
+        [(16.8, 0.0), (6.3, 0.0), (3.2, 0.1), (np.array([16.8, 300.0]), 0.0)],
+    )
+    def test_tail_closes_below_sum_rounding(self, monkeypatch, xs, e):
+        # 1 - cumsum of these pmfs stalls a few 1e-15 above 1e-15, so their
+        # tails close only on the pmf's decay (in the stack, 16.8's pmf
+        # underflows to zero before the cutoff); the low cap turns a tail
+        # that never closes into an error at once instead of minutes of
+        # doubling
+        monkeypatch.setattr(communication, "_MAX_PHOTON_LEVELS", 1000)
+        got = np.atleast_1d(holevo_cpsk_conditional(xs, e, tail_mass=1e-15))
+        for value, x in zip(got, np.atleast_1d(xs)):
+            assert abs(value - holevo_cpsk_conditional(x, e, tail_mass=1e-12)) < 1e-10
+            # reference: a pmf four times longer than the first cutoff
+            std = math.sqrt(x * (2 * e + 1) + e * (e + 1))
+            p = communication.dephased_pmf(x, e, np.arange(4 * int(x + e + 10 * std + 25)))
+            p = p[p > 0]
+            reference = -math.fsum(p * np.log2(p)) - g_entropy(e)
+            assert abs(value - reference) < 1e-12
+
     def test_large_stack_respects_block_bound(self, monkeypatch):
         shapes = []
         pmf = communication.dephased_pmf
