@@ -674,13 +674,16 @@ _SETTINGS = {
 }
 
 
+def _sweep(config: SweepConfig) -> _Sweep:
+    if config.subcommand == "figures":
+        return _PRESETS[config.options["which"]]
+    return _SWEEPS[config.subcommand]
+
+
 def _plan(config: SweepConfig):
     """Columns and ordered tasks ``(row, config, index, point)``: one task
     per point of the product of the table entry's axes."""
-    if config.subcommand == "figures":
-        sweep = _PRESETS[config.options["which"]]
-    else:
-        sweep = _SWEEPS[config.subcommand]
+    sweep = _sweep(config)
     grid = enumerate(itertools.product(*sweep.axes(config)))
     return sweep.columns, [(sweep.row, config, i, point) for i, point in grid]
 
@@ -738,15 +741,24 @@ def _write_csv(path: str, columns, rows) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
+def _parameters(config: SweepConfig) -> dict[str, list]:
+    """The grids a run reads: a preset's own axes, keyed by its leading
+    column names, or a subcommand's channel grids."""
+    if config.subcommand == "figures":
+        sweep = _sweep(config)
+        return {col: list(axis) for col, axis in zip(sweep.columns, sweep.axes(config))}
+    return {
+        "ns": list(config.ns),
+        "nb": list(config.nb),
+        "kappa": list(config.kappa),
+        "m": list(config.m),
+    }
+
+
 def _write_sidecar(config: SweepConfig, columns, n_rows: int, achieved) -> None:
     meta = {
         "subcommand": config.subcommand,
-        "parameters": {
-            "ns": list(config.ns),
-            "nb": list(config.nb),
-            "kappa": list(config.kappa),
-            "m": list(config.m),
-        },
+        "parameters": _parameters(config),
         "options": config.options,
         "seed": config.seed,
         "quad_tol": config.quad_tol,

@@ -206,30 +206,20 @@ def total_displacement_density(params: ConversionParams, m: int, x: float):
 # Shared quadrature engine for expectations against the chi-square law.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_WINDOW_MEAN_THRESHOLD = 50.0
-_WINDOW_MIN_M = 1000
 _QUANTILE_MAP_TAIL = 1e-19
 
 
-def displacement_support(params: ConversionParams, m: int) -> tuple[float, float, bool]:
-    """Range ``(lo, hi, windowed)`` of ``x = |d_T|^2`` that
+def displacement_support(params: ConversionParams, m: int) -> float:
+    """Upper end ``hi`` of the range of ``x = |d_T|^2`` that
     :func:`expect_total_displacement` visits for ``m`` modes.
 
-    ``windowed`` marks the central-limit regime, ``2 m xi > 50`` with
-    ``m > 1000``: the quadrature then runs on the +/-10 sigma window
-    ``[lo, hi]`` in x, whose excluded tail mass is below 1e-22.  Otherwise
-    it runs on the chi-square quantile map, and ``hi`` is the 1e-19 upper
-    quantile, beyond every node the map places.  ``xi == 0`` gives
-    ``(0, 0, False)``.
+    ``hi`` is the 1e-19 upper quantile of the chi-square law, beyond every
+    node the quantile map places; the range starts at 0.  ``xi == 0`` gives
+    0.
     """
-    xi = params.xi
-    if xi == 0.0:
-        return 0.0, 0.0, False
-    mean = 2.0 * m * xi
-    sd = 2.0 * math.sqrt(m) * xi
-    if mean > _WINDOW_MEAN_THRESHOLD and m > _WINDOW_MIN_M:
-        return max(0.0, mean - 10.0 * sd), mean + 10.0 * sd, True
-    return 0.0, float(chdtri(2 * m, _QUANTILE_MAP_TAIL) * xi), False
+    if params.xi == 0.0:
+        return 0.0
+    return float(chdtri(2 * m, _QUANTILE_MAP_TAIL) * params.xi)
 
 
 def _panel_integral(f_weighted: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
@@ -252,9 +242,8 @@ def expect_total_displacement(
 
     Computes ``E[f(X)]`` for ``X = |d_T|^2`` distributed per
     :func:`total_displacement_density`, by adaptive Gauss-Legendre panels on
-    the chi-square quantile map, or on the window in x that
-    :func:`displacement_support` gives when the law is deep in its
-    central-limit regime.
+    the chi-square quantile map at every ``m``; the nodes stay inside
+    ``[0, displacement_support(params, m)]``.
 
     Parameters
     ----------
@@ -282,37 +271,27 @@ def expect_total_displacement(
         return float(np.asarray(f(np.array([0.0])))[0]), 0.0
 
     xi = params.xi
-    lo, hi, windowed = displacement_support(params, m)
-    if windowed:
 
-        def weighted(x: np.ndarray) -> np.ndarray:
-            return np.asarray(f(x)) * scaled_chi2_pdf(x, m, xi)
+    def weighted(t: np.ndarray) -> np.ndarray:
+        # Quantile map u = s(t) with a 7th-order smoothstep: s' vanishes
+        # cubically at both endpoints, which tames the ppf's unbounded
+        # derivative there (the quantile diverges logarithmically as
+        # u -> 1).  The complement 1 - s(t) is formed from 1 - t directly
+        # and fed to the inverse survival function, so the upper tail
+        # never rounds u to 1.0.  These are scipy.stats.chi2's own ppf
+        # and isf, minus the ~45 MB resident cost of importing it.
+        r = 1.0 - t
+        low = t <= 0.5
+        x = np.empty_like(t)
+        tl, rh = t[low], r[~low]
+        ul = tl**4 * (35.0 - 84.0 * tl + 70.0 * tl**2 - 20.0 * tl**3)
+        uh = rh**4 * (35.0 - 84.0 * rh + 70.0 * rh**2 - 20.0 * rh**3)
+        x[low] = 2.0 * gammaincinv(m, ul) * xi
+        x[~low] = chdtri(2 * m, uh) * xi
+        return np.asarray(f(x)) * 140.0 * t**3 * r**3
 
-        def level_value(n_panels: int) -> float:
-            return _panel_integral(weighted, np.linspace(lo, hi, n_panels + 1))
-
-    else:
-
-        def weighted(t: np.ndarray) -> np.ndarray:
-            # Quantile map u = s(t) with a 7th-order smoothstep: s' vanishes
-            # cubically at both endpoints, which tames the ppf's unbounded
-            # derivative there (the quantile diverges logarithmically as
-            # u -> 1).  The complement 1 - s(t) is formed from 1 - t directly
-            # and fed to the inverse survival function, so the upper tail
-            # never rounds u to 1.0.  These are scipy.stats.chi2's own ppf
-            # and isf, minus the ~45 MB resident cost of importing it.
-            r = 1.0 - t
-            low = t <= 0.5
-            x = np.empty_like(t)
-            tl, rh = t[low], r[~low]
-            ul = tl**4 * (35.0 - 84.0 * tl + 70.0 * tl**2 - 20.0 * tl**3)
-            uh = rh**4 * (35.0 - 84.0 * rh + 70.0 * rh**2 - 20.0 * rh**3)
-            x[low] = 2.0 * gammaincinv(m, ul) * xi
-            x[~low] = chdtri(2 * m, uh) * xi
-            return np.asarray(f(x)) * 140.0 * t**3 * r**3
-
-        def level_value(n_panels: int) -> float:
-            return _panel_integral(weighted, np.linspace(0.0, 1.0, n_panels + 1))
+    def level_value(n_panels: int) -> float:
+        return _panel_integral(weighted, np.linspace(0.0, 1.0, n_panels + 1))
 
     n_panels = 8
     prev = level_value(n_panels)

@@ -52,11 +52,11 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Upper bound on the bytes of one stack of per-node arrays (p_c2d's node
+# Upper bound on the bytes of one stack of per-node arrays (displaced thermal
 # matrices, holevo_cpsk_conditional's pmf rows); the stack lives in every
 # forked CLI worker.
 _NODE_BLOCK_BYTES = 2**21
-# Largest trace deficit of a p_c2d node matrix, the FockMatrix default.
+# Largest trace deficit of a displaced node matrix, the FockMatrix default.
 _NODE_TAIL_TOL = 1e-9
 
 
@@ -103,13 +103,49 @@ def helstrom_numeric(rho: FockMatrix, sigma: FockMatrix, p0: float = 0.5) -> flo
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    return _helstrom_error(rho.entries, sigma.entries, p0)
+    return float(_helstrom_error(rho.entries, sigma.entries, p0))
 
 
-def _helstrom_error(rho: np.ndarray, sigma: np.ndarray, p0: float) -> float:
-    """``(1 - ||p0 rho - (1-p0) sigma||_1) / 2`` on raw, unvalidated arrays."""
-    eigs = scipy.linalg.eigvalsh(p0 * rho - (1.0 - p0) * sigma)
-    return 0.5 * (1.0 - float(np.sum(np.abs(eigs))))
+def _helstrom_error(rho: np.ndarray, sigma: np.ndarray, p0: float) -> np.ndarray:
+    """``(1 - ||p0 rho - (1-p0) sigma||_1) / 2`` on raw, unvalidated arrays.
+
+    ``rho`` and ``sigma`` broadcast over leading stack axes; one eigensolve
+    runs over the whole stack and the result has the stack's shape.
+    """
+    eigs = np.linalg.eigvalsh(p0 * rho - (1.0 - p0) * sigma)
+    return 0.5 * (1.0 - np.sum(np.abs(eigs), axis=-1))
+
+
+def _thermal_helstrom_errors(
+    n0: float, e_noise: float, dim: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Equal-prior Helstrom errors of the thermal state ``n0`` against the
+    displaced thermal states ``(sqrt(x), e_noise)`` on ``dim`` Fock levels,
+    as a function of a 1-D stack of ``x >= 0``.
+
+    The reference goes once through the validated :func:`to_fock`.  The
+    displaced matrices, built in blocks of at most ``_NODE_BLOCK_BYTES``,
+    are Hermitian and PSD by construction, so only the cutoff can fail; one
+    trace check per block shows it (a deficit above 1e-9 raises
+    ``ValueError``).
+    """
+    rho0 = to_fock(DisplacedThermal(0.0, n0), dim).entries
+    block = max(1, _NODE_BLOCK_BYTES // (8 * dim * dim))
+
+    def errors(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape)
+        for lo in range(0, x.size, block):
+            mats = displaced_thermal_matrix(x[lo : lo + block], e_noise, dim)
+            deficit = 1.0 - np.trace(mats, axis1=1, axis2=2).min()
+            if deficit > _NODE_TAIL_TOL:
+                raise ValueError(
+                    f"dim={dim} leaves a node trace deficit of {deficit:.3e} "
+                    f"> {_NODE_TAIL_TOL:.1e}"
+                )
+            out[lo : lo + block] = _helstrom_error(rho0, mats, 0.5)
+        return out
+
+    return errors
 
 
 def _g_p(nu: float, p: float) -> float:
@@ -219,30 +255,11 @@ def p_c2d(
         When true, return ``(probability, achieved_tolerance)``.
     """
     params, e_noise = _c2d_states(n_s, ch)
-    _, x_hi, _ = displacement_support(params, m)
+    x_hi = displacement_support(params, m)
     dim = fock_dim if fock_dim is not None else max(
         recommended_dim(x_hi, max(n_s, e_noise)), 2
     )
-    rho0 = to_fock(DisplacedThermal(0.0, n_s), dim).entries
-    block = max(1, _NODE_BLOCK_BYTES // (8 * dim * dim))
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, 0.0)
-        out = np.empty(x.shape)
-        for lo in range(0, x.size, block):
-            mats = displaced_thermal_matrix(x[lo : lo + block], e_noise, dim)
-            # Hermitian and PSD by construction, so only the cutoff can fail,
-            # and the trace shows that without an eigensolve per node
-            deficit = 1.0 - np.trace(mats, axis1=1, axis2=2).min()
-            if deficit > _NODE_TAIL_TOL:
-                raise ValueError(
-                    f"dim={dim} leaves a node trace deficit of {deficit:.3e} "
-                    f"> {_NODE_TAIL_TOL:.1e}"
-                )
-            for i, mat in enumerate(mats, start=lo):
-                out[i] = _helstrom_error(rho0, mat, 0.5)
-        return out
-
+    kernel = _thermal_helstrom_errors(n_s, e_noise, dim)
     value, achieved = expect_total_displacement(params, m, kernel, quad_tol)
     return (value, achieved) if with_achieved else value
 
@@ -252,15 +269,14 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
 
     Discriminates a thermal state of occupation ``n_b`` from the same
     thermal state displaced by ``sqrt(kappa m n_s)`` (the full transmitted
-    energy concentrated in one mode).
+    energy concentrated in one mode): the single-mode test that ``p_c2d``
+    averages, evaluated by the same kernel at one node ``x = kappa m n_s``.
     """
     if n_s < 0:
         raise ValueError("n_s must be nonnegative")
     amp_sq = ch.kappa * m * n_s
-    dim = recommended_dim(amp_sq, ch.n_b)
-    rho = to_fock(DisplacedThermal(0.0, ch.n_b), dim)
-    sigma = to_fock(DisplacedThermal(math.sqrt(amp_sq), ch.n_b), dim)
-    return helstrom_numeric(rho, sigma)
+    errors = _thermal_helstrom_errors(ch.n_b, ch.n_b, recommended_dim(amp_sq, ch.n_b))
+    return float(errors(np.array([amp_sq]))[0])
 
 
 def nair_gu_bound(n_s: float, ch: ChannelParams, m: int) -> float:

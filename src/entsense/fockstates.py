@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln, xlogy
 
 __all__ = [
@@ -87,7 +86,7 @@ class FockMatrix:
             raise ValueError(
                 f"trace {tr} outside [1 - tail_tol, 1] for tail_tol={self.tail_tol}"
             )
-        if np.min(scipy.linalg.eigvalsh(entries)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(entries)) < -1e-10:
             raise ValueError("entries must be positive semidefinite")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)

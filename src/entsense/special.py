@@ -209,7 +209,10 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     Raises
     ------
     ValueError
-        If ``b`` is a nonpositive integer (use :func:`hyp1f1_regularized`).
+        If ``b`` is a nonpositive integer ``-n``, where 1F1 has a pole.  The
+        regularized function 1F1(a; b; z) / Gamma(b) stays finite there:
+        ``(a)_{n+1} z^{n+1} / (n+1)!`` times ``hyp1f1(a + n + 1, n + 2, z)``
+        (DLMF 13.2.5).
     OverflowError
         If the result exceeds the double-precision range; the caller must
         rescale (e.g. work with logarithms).
@@ -219,7 +222,7 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     z = float(z)
     if b <= 0 and b == round(b):
         raise ValueError(
-            "b must not be a nonpositive integer; use hyp1f1_regularized"
+            "b must not be a nonpositive integer: 1F1 has a pole there"
         )
     if a <= 0 and a == round(a):
         return _hyp1f1_terminating(a, b, z)
@@ -304,15 +307,11 @@ def scaled_chi2_pdf(x, m: int, xi: float):
     return out if out.ndim else float(out)
 
 
-_GAUSSIAN_SURROGATE_THRESHOLD = 10**6
-
-
 def sample_scaled_chi2(m: int, xi: float, rng, size=None):
     """Draw samples of the scaled chi-square law of :func:`scaled_chi2_pdf`.
 
-    For ``m`` above one million the central-limit Gaussian surrogate
-    ``N(2 m xi, 4 m xi^2)`` truncated at zero is used instead of summing
-    squares.
+    Returns ``xi`` times numpy's chi-square draw with ``2 m`` degrees of
+    freedom, which is exact and costs O(1) per sample at every ``m``.
 
     Parameters
     ----------
@@ -327,19 +326,4 @@ def sample_scaled_chi2(m: int, xi: float, rng, size=None):
     if not xi > 0:
         raise ValueError("xi must be positive")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if m <= _GAUSSIAN_SURROGATE_THRESHOLD:
-        out = xi * gen.chisquare(2 * m, size=size)
-        return out
-    mean = 2.0 * m * xi
-    sd = 2.0 * math.sqrt(m) * xi
-    out = gen.normal(mean, sd, size=size)
-    # Truncation at 0: resample the (measure-zero in practice) negatives.
-    if size is None:
-        while out < 0:
-            out = gen.normal(mean, sd)
-        return float(out)
-    neg = out < 0
-    while np.any(neg):
-        out[neg] = gen.normal(mean, sd, size=int(np.count_nonzero(neg)))
-        neg = out < 0
-    return out
+    return xi * gen.chisquare(2 * m, size=size)

@@ -526,6 +526,25 @@ class TestFigurePresets:
         assert np.all((ratios > 1.0) == (ns < boundary))
 
     @pytest.mark.parametrize(
+        "which, axes",
+        [
+            ("2b", dict.fromkeys(("n_s", "n_b"), np.geomspace(1e-3, 10.0, 20))),
+            ("4a", {"n_s": np.geomspace(1e-6, 1.0, 25)}),
+        ],
+    )
+    def test_sidecar_records_preset_axes(self, tmp_path, which, axes):
+        # the sidecar names the grid the preset ran, not the unused
+        # subcommand defaults
+        out = tmp_path / f"f{which}.csv"
+        assert main(["figures", "--which", which, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / f"f{which}.csv.json").read_text())
+        assert meta["parameters"].keys() == axes.keys()
+        _, rows = read_rows(out)
+        for name, values in axes.items():
+            assert meta["parameters"][name] == values.tolist()
+            assert sorted({float(r[name]) for r in rows}) == values.tolist()
+
+    @pytest.mark.parametrize(
         "which, n_tasks, first_column",
         [
             ("2a", 7, "M"),
@@ -567,6 +586,23 @@ def subprocess_env():
 
 
 class TestSubprocessEntry:
+    def test_import_loads_neither_scipy_stats_nor_mpmath(self):
+        # scipy.stats costs about 45 MB resident and 0.8 s to import; every
+        # CLI worker and benchmark run would pay it
+        code = (
+            "import sys\n"
+            "import entsense.cli, entsense.communication, entsense.discrimination\n"
+            "print(sorted(m for m in ('scipy.stats', 'mpmath') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sub.csv"
         proc = subprocess.run(

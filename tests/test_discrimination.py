@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entsense.conversion import conversion_params
 from entsense.discrimination import (
     PatternHypothesis,
+    _helstrom_error,
     c2d_exponent_bounds,
     helstrom_numeric,
     lemma1_upper_bound,
@@ -17,7 +20,13 @@ from entsense.discrimination import (
     pattern_exponents,
     qcb_gaussian,
 )
-from entsense.fockstates import DisplacedThermal, FockMatrix, recommended_dim, to_fock
+from entsense.fockstates import (
+    DisplacedThermal,
+    FockMatrix,
+    displaced_thermal_matrix,
+    recommended_dim,
+    to_fock,
+)
 from entsense.gaussian import ChannelParams, GaussianState
 
 FIG2A = ChannelParams(0.01, 0.0, 20.0)
@@ -176,7 +185,45 @@ class TestPC2d:
         assert achieved <= 1e-6
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 30.0)), min_size=1, max_size=6),
+    e=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
+    n0=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
+    dim=st.integers(2, 48),
+    p0=st.floats(0.0, 1.0),
+)
+def test_stacked_helstrom_rows_equal_single_calls(xs, e, n0, dim, p0):
+    rho = displaced_thermal_matrix(0.0, n0, dim)
+    stack = displaced_thermal_matrix(np.array(xs), e, dim)
+    stacked = _helstrom_error(rho, stack, p0)
+    assert stacked.shape == (len(xs),)
+    for row, sigma in zip(stacked, stack):
+        assert row == _helstrom_error(rho, sigma, p0)
+
+
 class TestPClassicalCoherent:
+    @pytest.mark.parametrize(
+        "n_s, kappa, n_b, m",
+        [
+            (0.5, 0.25, 0.0, 4000),  # coherent states, cutoff 684
+            (0.4, 0.25, 0.0, 10),
+            (1e-3, 0.0, 20.0, 1000),  # no target
+            (0.0, 0.5, 0.0, 3),
+            (1e-3, 0.01, 20.0, 10**5),  # Fig. 2a, cutoff 593
+            (0.1, 0.5, 1.0, 80),
+        ],
+    )
+    def test_matches_validated_helstrom(self, n_s, kappa, n_b, m):
+        amp_sq = kappa * m * n_s
+        dim = recommended_dim(amp_sq, n_b)
+        want = helstrom_numeric(
+            to_fock(DisplacedThermal(0.0, n_b), dim),
+            to_fock(DisplacedThermal(math.sqrt(amp_sq), n_b), dim),
+        )
+        got = p_classical_coherent(n_s, ChannelParams(kappa, 0.0, n_b), m)
+        assert abs(got - want) <= 1e-12
+
     def test_no_target_is_coin_flip(self):
         assert p_classical_coherent(0.001, ChannelParams(0.0, 0.0, 20.0), 100) == \
             pytest.approx(0.5, abs=1e-12)

@@ -186,6 +186,15 @@ class TestSampleScaledChi2:
         assert_allclose(xs.mean(), 2 * m * xi, rtol=5e-4)
         assert_allclose(xs.std(), 2 * math.sqrt(m) * xi, rtol=2e-2)
 
+    @pytest.mark.parametrize("m", [10, 10**6, 3 * 10**6])
+    def test_exact_chisquare_draw(self, m):
+        xi = 1e-7
+        got = sample_scaled_chi2(m, xi, RngStream(4, 2), size=64)
+        want = xi * RngStream(4, 2).generator().chisquare(2 * m, size=64)
+        assert np.array_equal(got, want)
+        scalar = sample_scaled_chi2(m, xi, RngStream(4, 2).generator())
+        assert scalar == xi * RngStream(4, 2).generator().chisquare(2 * m)
+
     def test_scalar_draw(self):
         x = sample_scaled_chi2(4, 0.2, RngStream(9).generator())
         assert isinstance(x, float) and x > 0
