@@ -288,16 +288,20 @@ def _phase_row(config, index, ns, nb, kappa, m):
     return row, None
 
 
+def _bpsk_counting_rates(ns, ch, m):
+    """``(i_opar, i_pcr)``: photon-counting information per mode of the
+    amplifier and conjugator receivers for BPSK over ``m`` modes."""
+    return tuple(
+        shannon_photon_counting(*pmfs(ns, ch, m, (0.0, math.pi))) / m
+        for pmfs in (opar_photon_pmfs, pcr_count_pmfs)
+    )
+
+
 def _comm_row(config, index, ns, nb, kappa, m):
     quad_tol = config.quad_tol
     ch = ChannelParams(kappa=kappa, theta=0.0, n_b=nb)
     bpsk = holevo_c2d_bpsk(ns, ch, m)
     green = green_machine_optimize(ns, ch, quad_tol)
-    pmf_pairs = (
-        opar_photon_pmfs(ns, ch, m, (0.0, math.pi)),
-        pcr_count_pmfs(ns, ch, m, (0.0, math.pi)),
-    )
-    i_opar, i_pcr = (shannon_photon_counting(p0, p1) / m for p0, p1 in pmf_pairs)
     chi, achieved = holevo_c2d_cpsk(ns, ch, m, quad_tol, with_achieved=True)
     row = [
         ns,
@@ -311,8 +315,7 @@ def _comm_row(config, index, ns, nb, kappa, m):
         green.rate,
         green.repetitions,
         green.codeword_len,
-        i_opar,
-        i_pcr,
+        *_bpsk_counting_rates(ns, ch, m),
     ]
     return row, achieved
 
@@ -466,9 +469,6 @@ def _fig7c_row(config, index, ns):
     quad_tol = config.quad_tol
     ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
     green = green_machine_optimize(ns, ch, quad_tol)
-    m_count = 1_000
-    pmf_opar = opar_photon_pmfs(ns, ch, m_count, (0.0, math.pi))
-    pmf_pcr = pcr_count_pmfs(ns, ch, m_count, (0.0, math.pi))
     chi, achieved = holevo_c2d_cpsk(ns, ch, 10_000, quad_tol, with_achieved=True)
     row = [
         ns,
@@ -478,8 +478,7 @@ def _fig7c_row(config, index, ns):
         green.rate,
         green.repetitions,
         green.codeword_len,
-        shannon_photon_counting(*pmf_opar) / m_count,
-        shannon_photon_counting(*pmf_pcr) / m_count,
+        *_bpsk_counting_rates(ns, ch, 1_000),
     ]
     return row, achieved
 

@@ -21,6 +21,7 @@ from .discrimination import _NODE_BLOCK_BYTES, _golden_section_min
 from .fockstates import bpsk_mixture_matrix, dephased_pmf, recommended_dim
 from .gaussian import ChannelParams
 from .metrology import opar_optimal_gain
+from .receivers import _opar_counts, _pcr_counts
 
 __all__ = [
     "BpskHolevo",
@@ -390,15 +391,6 @@ def green_machine_optimize(
     return GreenMachinePoint(best_rate, best_m, n_star)
 
 
-def _opar_mean(n_s: float, ch: ChannelParams, gain: float, theta: float) -> float:
-    return (
-        gain * n_s
-        + (gain - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
-        + 2.0 * math.sqrt(gain * (gain - 1.0) * ch.kappa * n_s * (1.0 + n_s))
-        * math.cos(theta)
-    )
-
-
 def opar_photon_pmfs(
     n_s: float,
     ch: ChannelParams,
@@ -416,14 +408,11 @@ def opar_photon_pmfs(
     from scipy.stats import nbinom
 
     g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
-    if g < 1.0:
-        raise ValueError("gain must be at least 1")
-    means = [_opar_mean(n_s, ch, g, th) for th in thetas]
+    counts = [_opar_counts(n_s, ch, g, th) for th in thetas]
     n_max = 0
-    for nbar in means:
-        mu, var = m * nbar, m * nbar * (1.0 + nbar)
-        n_max = max(n_max, int(mu + 12.0 * math.sqrt(var)) + 25)
-    dists = [nbinom(m, 1.0 / (1.0 + nbar)) for nbar in means]
+    for nbar, _, var in counts:
+        n_max = max(n_max, int(m * nbar + 12.0 * math.sqrt(m * var)) + 25)
+    dists = [nbinom(m, 1.0 / (1.0 + nbar)) for nbar, _, _ in counts]
     while any(d.sf(n_max - 1) > 1e-12 for d in dists):
         n_max *= 2
     support = np.arange(n_max)
@@ -444,17 +433,9 @@ def pcr_count_pmfs(
     unit bins centered on integers; arrays share one support window covering
     all hypotheses to 12 sigma.
     """
-    g = float(gain)
-    if g <= 1.0:
-        raise ValueError("gain must exceed 1")
-    n_c = (g - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
-    n_i = n_s
-    c_ci = math.sqrt((g - 1.0) * ch.kappa * n_s * (1.0 + n_s))
-    mus, sigmas = [], []
-    for th in thetas:
-        mus.append(m * 2.0 * c_ci * math.cos(th))
-        var = m * (n_i + n_c + 2.0 * n_c * n_i + 2.0 * c_ci**2 * math.cos(2.0 * th))
-        sigmas.append(math.sqrt(var))
+    counts = [_pcr_counts(n_s, ch, float(gain), th) for th in thetas]
+    mus = [m * mean for mean, _, _ in counts]
+    sigmas = [math.sqrt(m * var) for _, _, var in counts]
     lo = math.floor(min(mu - 12.0 * s for mu, s in zip(mus, sigmas)))
     hi = math.ceil(max(mu + 12.0 * s for mu, s in zip(mus, sigmas)))
     edges = np.arange(lo, hi + 2) - 0.5

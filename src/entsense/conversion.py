@@ -48,7 +48,7 @@ DIRAC_MASS_AT_ZERO = _DiracMassAtZero()
 
 
 class QuadratureError(EntsenseError, RuntimeError):
-    """Raised when the adaptive quadrature cannot reach the requested tolerance."""
+    """Raised when doubling the quadrature panels misses the requested tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
@@ -241,9 +241,9 @@ def expect_total_displacement(
     """Expectation of ``f`` under the combined-displacement law.
 
     Computes ``E[f(X)]`` for ``X = |d_T|^2`` distributed per
-    :func:`total_displacement_density`, by adaptive Gauss-Legendre panels on
-    the chi-square quantile map at every ``m``; the nodes stay inside
-    ``[0, displacement_support(params, m)]``.
+    :func:`total_displacement_density`, by uniform Gauss-Legendre panels on
+    the chi-square quantile map at every ``m``, doubled from 8 until two
+    levels agree; the nodes stay inside ``[0, displacement_support(params, m)]``.
 
     Parameters
     ----------

@@ -90,7 +90,8 @@ def helstrom_numeric(rho: FockMatrix, sigma: FockMatrix, p0: float = 0.5) -> flo
     """Minimum binary discrimination error between two Fock matrices.
 
     ``(1 - ||p0 rho - (1-p0) sigma||_1) / 2`` via a Hermitian
-    eigen-decomposition of the weighted difference.
+    eigen-decomposition of the weighted difference, in ``[0, 1/2]`` and
+    accurate to only about 1e-14 absolute (eigenvalue rounding).
 
     Parameters
     ----------
@@ -111,9 +112,10 @@ def _helstrom_error(rho: np.ndarray, sigma: np.ndarray, p0: float) -> np.ndarray
 
     ``rho`` and ``sigma`` broadcast over leading stack axes; one eigensolve
     runs over the whole stack and the result has the stack's shape.
+    Rounding can push the trace norm past 1, hence the clamp at 0.
     """
     eigs = np.linalg.eigvalsh(p0 * rho - (1.0 - p0) * sigma)
-    return 0.5 * (1.0 - np.sum(np.abs(eigs), axis=-1))
+    return np.maximum(0.5 * (1.0 - np.sum(np.abs(eigs), axis=-1)), 0.0)
 
 
 def _thermal_helstrom_errors(
@@ -271,6 +273,8 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
     thermal state displaced by ``sqrt(kappa m n_s)`` (the full transmitted
     energy concentrated in one mode): the single-mode test that ``p_c2d``
     averages, evaluated by the same kernel at one node ``x = kappa m n_s``.
+    The result lies in ``[0, 1/2]``, accurate to only about 1e-14 absolute
+    (eigenvalue rounding).
     """
     if n_s < 0:
         raise ValueError("n_s must be nonnegative")

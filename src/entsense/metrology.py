@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .conversion import conversion_params
 from .gaussian import ChannelParams, GaussianState
+from .receivers import _opar_counts, _pcr_counts
 
 __all__ = [
     "FisherReport",
@@ -223,20 +224,8 @@ def fi_opar(
     if n_s < 0:
         raise ValueError("n_s must be nonnegative")
     g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
-    if g < 1.0:
-        raise ValueError("gain must be at least 1")
-    nbar = (
-        g * n_s
-        + (g - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
-        + 2.0 * math.sqrt(g * (g - 1.0) * ch.kappa * n_s * (1.0 + n_s))
-        * math.cos(theta)
-    )
-    if nbar == 0.0:
-        return 0.0
-    return (
-        4.0 * m * (g - 1.0) * g * ch.kappa * n_s * (1.0 + n_s)
-        * math.sin(theta) ** 2 / (nbar * (1.0 + nbar))
-    )
+    _, amp, var = _opar_counts(n_s, ch, g, theta)
+    return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0
 
 
 def fi_pcr(
@@ -251,13 +240,5 @@ def fi_pcr(
     """
     if n_s < 0:
         raise ValueError("n_s must be nonnegative")
-    g = float(gain)
-    if g <= 1.0:
-        raise ValueError("gain must exceed 1")
-    n_c = (g - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
-    n_i = n_s
-    c_ci_sq = (g - 1.0) * ch.kappa * n_s * (1.0 + n_s)
-    den = (n_i + n_c) + 2.0 * n_c * n_i + 2.0 * c_ci_sq * math.cos(2.0 * theta)
-    if den == 0.0:
-        return 0.0
-    return 4.0 * m * (g - 1.0) * ch.kappa * n_s * (n_s + 1.0) * math.sin(theta) ** 2 / den
+    _, amp, var = _pcr_counts(n_s, ch, float(gain), theta)
+    return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0

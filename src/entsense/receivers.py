@@ -3,16 +3,17 @@
 Closed-form error probabilities for homodyne, heterodyne and Kennedy
 detection of vacuum versus a coherent state, a Monte-Carlo Dolinar receiver
 (noiseless, and with thermal noise handled by P-function sampling), photon
-sampling from displaced thermal states, and the Gaussian-approximation
-error probabilities of the parametric-amplifier (OPAR) and phase-conjugate
-(PCR) target-detection baselines.
+sampling from displaced thermal states, and the per-copy count models of
+the parametric-amplifier (OPAR) and phase-conjugate (PCR) receivers, which
+give their Gaussian-approximation target-detection error probabilities
+here and their Fisher information and count pmfs elsewhere.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,10 +187,7 @@ def _dolinar_batch(
     p0 = np.full(n, 0.5)
     p1 = np.full(n, 0.5)
     for uk in u:
-        tie = p0 == p1
-        g = np.where(p0 > p1, 0, 1)
-        if tie.any():
-            g[tie] = gen.integers(0, 2, size=int(tie.sum()))
+        g = _favored(p0, p1, gen)
         shift = np.where(g == 0, -gamma + uk, -gamma - uk)
         counts = gen.poisson(np.abs(slice_field + shift) ** 2)
         if counts.max(initial=0) > _PHOTON_CAP:
@@ -219,11 +217,16 @@ def _dolinar_batch(
         p0 /= total
         p1 /= total
 
-    tie = p0 == p1
+    return int(np.count_nonzero(_favored(p0, p1, gen) != h))
+
+
+def _favored(p0: np.ndarray, p1: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Index of the heavier hypothesis per trial, ties broken by a fair coin."""
     g = np.where(p0 > p1, 0, 1)
+    tie = p0 == p1
     if tie.any():
         g[tie] = gen.integers(0, 2, size=int(tie.sum()))
-    return int(np.count_nonzero(g != h))
+    return g
 
 
 def dolinar_simulate(
@@ -320,22 +323,39 @@ def displaced_thermal_sample_photons(state: DisplacedThermal, rng, size=None):
     return int(counts[0]) if size is None else counts
 
 
-def _opar_moments(
-    n_s: float, ch: ChannelParams, gain: float
-) -> tuple[float, float, float, float]:
-    """Per-copy OPAR count means and deviations under the two hypotheses."""
-    mu0 = gain * n_s + (gain - 1.0) * (1.0 + ch.n_b)
-    mu1 = (
-        mu0
-        + (gain - 1.0) * ch.kappa * n_s
-        + 2.0 * math.sqrt(gain * (gain - 1.0) * ch.kappa * n_s * (n_s + 1.0))
+def _opar_counts(
+    n_s: float, ch: ChannelParams, gain: float, theta: float
+) -> tuple[float, float, float]:
+    """Per-copy OPAR photon count at displaced phase ``theta``:
+    ``(mean, amplitude, variance)`` with mean = G N_S + (G-1)(kappa N_S +
+    N_B + 1) + amplitude cos(theta), amplitude = 2 sqrt(G(G-1) kappa N_S
+    (N_S+1)) and the thermal variance mean (mean + 1)."""
+    if gain < 1.0:
+        raise ValueError("gain must be at least 1")
+    amp = 2.0 * math.sqrt(gain * (gain - 1.0) * ch.kappa * n_s * (1.0 + n_s))
+    mean = (
+        gain * n_s
+        + (gain - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
+        + amp * math.cos(theta)
     )
-    return (
-        mu0,
-        math.sqrt(mu0 * (mu0 + 1.0)),
-        mu1,
-        math.sqrt(mu1 * (mu1 + 1.0)),
-    )
+    return mean, amp, mean * (mean + 1.0)
+
+
+def _pcr_counts(
+    n_s: float, ch: ChannelParams, gain: float, theta: float
+) -> tuple[float, float, float]:
+    """Per-copy PCR photon-number difference at displaced phase ``theta``:
+    ``(mean, amplitude, variance)`` with amplitude 2 C_CI, mean amplitude
+    cos(theta) and variance N_I + N_C + 2 N_C N_I + 2 C_CI^2 cos(2 theta),
+    where N_C = (G-1)(kappa N_S + N_B + 1), N_I = N_S and
+    C_CI = sqrt((G-1) kappa N_S (N_S+1))."""
+    if gain <= 1.0:
+        raise ValueError("gain must exceed 1")
+    n_c = (gain - 1.0) * (ch.kappa * n_s + ch.n_b + 1.0)
+    c_ci_sq = (gain - 1.0) * ch.kappa * n_s * (1.0 + n_s)
+    amp = 2.0 * math.sqrt(c_ci_sq)
+    var = n_s + n_c + 2.0 * n_c * n_s + 2.0 * c_ci_sq * math.cos(2.0 * theta)
+    return amp * math.cos(theta), amp, var
 
 
 def opar_pe(
@@ -375,12 +395,11 @@ def opar_pe(
                 "the default gain requires n_b > 0; pass gain explicitly"
             )
         gain = 1.0 + math.sqrt(n_s / (ch.n_b * (ch.n_b + 1.0)))
-    if gain < 1.0:
-        raise ValueError("gain must be at least 1")
-    mu0, sigma0, mu1, sigma1 = _opar_moments(n_s, ch, gain)
+    mu0, _, var0 = _opar_counts(n_s, replace(ch, kappa=0.0), gain, 0.0)
+    mu1, _, var1 = _opar_counts(n_s, ch, gain, 0.0)
     if mu1 == mu0:
         return 0.5
-    rate = (mu1 - mu0) ** 2 / (2.0 * (sigma0 + sigma1) ** 2)
+    rate = (mu1 - mu0) ** 2 / (2.0 * (math.sqrt(var0) + math.sqrt(var1)) ** 2)
     return 0.5 * math.erfc(math.sqrt(rate * m))
 
 
@@ -391,9 +410,12 @@ def pcr_pe(n_s: float, ch: ChannelParams, m: int) -> float:
     interferometer arms over ``m`` copies, in the Gaussian approximation
     and at conjugator gain 2:
 
-        P = (1/2) Erfc(sqrt(R m)),
-        R = kappa N_S (N_S+1)
-            / (2 N_B + 4 N_S N_B + 6 N_S + 4 kappa N_S^2 + 3 kappa N_S + 2).
+        P = (1/2) Erfc(sqrt(R m)),   R = (mu1 - mu0)^2 / (4 (var0 + var1))
+          = kappa N_S (N_S+1)
+            / (2 N_B + 4 N_S N_B + 6 N_S + 4 kappa N_S^2 + 3 kappa N_S + 2)
+
+    with the per-copy difference moments of the target-absent (kappa = 0)
+    and target-present hypotheses.
 
     R approaches kappa N_S / (2 N_B) when N_S << 1, kappa << 1 and
     N_B >> 1, matching the parametric-amplifier receiver; away from that
@@ -412,17 +434,7 @@ def pcr_pe(n_s: float, ch: ChannelParams, m: int) -> float:
         raise ValueError("n_s must be nonnegative")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    rate = (
-        ch.kappa
-        * n_s
-        * (n_s + 1.0)
-        / (
-            2.0 * ch.n_b
-            + 4.0 * n_s * ch.n_b
-            + 6.0 * n_s
-            + 4.0 * ch.kappa * n_s**2
-            + 3.0 * ch.kappa * n_s
-            + 2.0
-        )
-    )
+    mu0, _, var0 = _pcr_counts(n_s, replace(ch, kappa=0.0), 2.0, 0.0)
+    mu1, _, var1 = _pcr_counts(n_s, ch, 2.0, 0.0)
+    rate = (mu1 - mu0) ** 2 / (4.0 * (var0 + var1))
     return 0.5 * math.erfc(math.sqrt(rate * m))

@@ -233,6 +233,13 @@ class TestPClassicalCoherent:
         want = 0.5 * (1 - math.sqrt(1 - math.exp(-0.25 * 10 * 0.4)))
         assert got == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [3000, 10**4])
+    def test_nearly_orthogonal_states_never_go_negative(self, m):
+        # the trace norm of the difference rounds to just above 1 here,
+        # which left the unclamped error near -1e-14
+        got = p_classical_coherent(0.1, ChannelParams(0.5, 0.0, 0.0), m)
+        assert 0.0 <= got <= 1e-14
+
 
 class TestAnalyticBounds:
     def test_nair_gu_no_target(self):

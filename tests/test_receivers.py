@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfcinv
 from scipy.stats import chisquare
 
+from entsense.communication import opar_photon_pmfs, pcr_count_pmfs
 from entsense.conversion import conversion_params
 from entsense.discrimination import helstrom_numeric, p_c2d
 from entsense.fockstates import (
@@ -15,6 +18,7 @@ from entsense.fockstates import (
     to_fock,
 )
 from entsense.gaussian import ChannelParams
+from entsense.metrology import fi_opar, fi_pcr
 from entsense.receivers import (
     DolinarConfig,
     ThresholdDetector,
@@ -350,3 +354,119 @@ class TestOparPcr:
 
     def test_unit_gain_is_blind(self):
         assert opar_pe(1e-3, FIG7A, 1000, gain=1.0) == 0.5
+
+
+# Oracles: the amplifier moments and the gain-2 conjugator rate written out
+# by hand, independently of the library's count models.
+
+
+def opar_moments_oracle(n_s, ch, gain):
+    """Per-copy OPAR count means and deviations under the two hypotheses."""
+    mu0 = gain * n_s + (gain - 1.0) * (1.0 + ch.n_b)
+    mu1 = (
+        mu0
+        + (gain - 1.0) * ch.kappa * n_s
+        + 2.0 * math.sqrt(gain * (gain - 1.0) * ch.kappa * n_s * (n_s + 1.0))
+    )
+    return mu0, math.sqrt(mu0 * (mu0 + 1.0)), mu1, math.sqrt(mu1 * (mu1 + 1.0))
+
+
+def opar_rate_oracle(n_s, ch, gain):
+    mu0, sigma0, mu1, sigma1 = opar_moments_oracle(n_s, ch, gain)
+    return 0.0 if mu1 == mu0 else (mu1 - mu0) ** 2 / (2.0 * (sigma0 + sigma1) ** 2)
+
+
+def pcr_rate_oracle(n_s, ch):
+    return (
+        ch.kappa
+        * n_s
+        * (n_s + 1.0)
+        / (
+            2.0 * ch.n_b
+            + 4.0 * n_s * ch.n_b
+            + 6.0 * n_s
+            + 4.0 * ch.kappa * n_s**2
+            + 3.0 * ch.kappa * n_s
+            + 2.0
+        )
+    )
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_s=log_uniform(1e-8, 10.0),
+    n_b=log_uniform(1e-3, 1e3),
+    kappa=st.floats(0.0, 1.0),
+    m=log_uniform(1.0, 1e7).map(int),
+    gain=st.one_of(st.none(), st.floats(1.0, 10.0)),
+)
+def test_error_probabilities_match_oracles(n_s, n_b, kappa, m, gain):
+    ch = ChannelParams(kappa, 0.0, n_b)
+    g = 1.0 + math.sqrt(n_s / (n_b * (n_b + 1.0))) if gain is None else gain
+    # erfc(sqrt(x)) turns a relative error e in x into about max(1, x) e,
+    # so rounding in either rate is scaled by R m before comparing.
+    for got, rate in (
+        (opar_pe(n_s, ch, m, gain), opar_rate_oracle(n_s, ch, g)),
+        (pcr_pe(n_s, ch, m), pcr_rate_oracle(n_s, ch)),
+    ):
+        want = 0.5 * math.erfc(math.sqrt(rate * m))
+        assert abs(got - want) <= 1e-12 * max(1.0, rate * m) * want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_s=log_uniform(1e-2, 10.0),
+    n_b=log_uniform(1e-2, 1e2),
+    kappa=st.floats(0.05, 1.0),
+    m=st.integers(1, 300),
+    gain=st.floats(1.01, 3.0),
+    theta=st.floats(0.2, 2.9),
+)
+def test_opar_pmfs_and_fisher_match_count_moments(n_s, n_b, kappa, m, gain, theta):
+    ch = ChannelParams(kappa, 0.0, n_b)
+    h = 1e-3
+    pmfs = opar_photon_pmfs(n_s, ch, m, (theta - h, theta, theta + h), gain)
+    n = np.arange(pmfs[0].size)
+    means = [p @ n for p in pmfs]
+    var = pmfs[1] @ (n - means[1]) ** 2
+    nbar = (
+        gain * n_s
+        + (gain - 1.0) * (kappa * n_s + n_b + 1.0)
+        + 2.0 * math.sqrt(gain * (gain - 1.0) * kappa * n_s * (1.0 + n_s))
+        * math.cos(theta)
+    )
+    assert_allclose(means[1], m * nbar, rtol=1e-10)
+    assert_allclose(var, m * nbar * (nbar + 1.0), rtol=1e-8)
+    slope = (means[2] - means[0]) / (2.0 * h)
+    assert_allclose(fi_opar(n_s, ch, m, theta, gain), slope**2 / var, rtol=1e-5)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_s=log_uniform(1e-2, 10.0),
+    n_b=log_uniform(1e-2, 1e2),
+    kappa=st.floats(0.05, 1.0),
+    m=st.integers(100, 1000),
+    gain=st.floats(1.1, 3.0),
+    theta=st.floats(0.2, 2.9),
+)
+def test_pcr_pmfs_and_fisher_match_count_moments(n_s, n_b, kappa, m, gain, theta):
+    ch = ChannelParams(kappa, 0.0, n_b)
+    h = 1e-3
+    pmfs = pcr_count_pmfs(n_s, ch, m, (theta - h, theta, theta + h), gain)
+    # the pmfs share one window of unit bins; slope and variance do not
+    # depend on where it starts, so bin indices stand in for the counts
+    n = np.arange(pmfs[0].size)
+    means = [p @ n for p in pmfs]
+    # Sheppard's correction removes the unit bins' 1/12 from the variance
+    var = pmfs[1] @ (n - means[1]) ** 2 - 1.0 / 12.0
+    n_c = (gain - 1.0) * (kappa * n_s + n_b + 1.0)
+    c_ci_sq = (gain - 1.0) * kappa * n_s * (1.0 + n_s)
+    want = n_s + n_c + 2.0 * n_c * n_s + 2.0 * c_ci_sq * math.cos(2.0 * theta)
+    assert_allclose(var, m * want, rtol=1e-9)
+    slope = (means[2] - means[0]) / (2.0 * h)
+    assert_allclose(fi_pcr(n_s, ch, m, theta, gain), slope**2 / var, rtol=1e-5)
