@@ -7,7 +7,7 @@ the assisted capacity C_E — far above the unassisted capacity C at weak
 signal — and structured receivers (Hadamard-code interferometer, photon
 counters) collect a sizable fraction of it.
 
-Run:  python3 demos/communication.py        (~20 s on one core)
+Run:  python3 demos/communication.py        (~1 s)
 """
 
 import math

@@ -6,7 +6,7 @@ the idlers turns the surviving cross-correlation into a single-mode
 displacement, so the whole M-mode detection problem collapses to one
 binary test between a thermal state and a displaced thermal state.
 
-Run:  python3 demos/target_detection.py        (~15 s on one core)
+Run:  python3 demos/target_detection.py        (~2 s)
 """
 
 import math

@@ -211,9 +211,6 @@ def holevo_c2d_cpsk(
     ``(value, achieved_tolerance)``.
     """
     params = conversion_params(n_s, ch)
-    if params.xi == 0.0:
-        return (0.0, 0.0) if with_achieved else 0.0
-
     # tail cut tighter than the scalar default: the integrand is a
     # difference of entropies and the quadrature resolves it well below the
     # 1e-12 tail noise at weak signal

@@ -217,6 +217,8 @@ def displacement_support(params: ConversionParams, m: int) -> float:
     node the quantile map places; the range starts at 0.  ``xi == 0`` gives
     0.
     """
+    if int(m) < 1:
+        raise ValueError("m must be a positive integer")
     if params.xi == 0.0:
         return 0.0
     return float(chdtri(2 * m, _QUANTILE_MAP_TAIL) * params.xi)

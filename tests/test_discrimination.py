@@ -184,6 +184,10 @@ class TestPC2d:
         _, achieved = p_c2d(0.001, FIG2A, 10**6, with_achieved=True)
         assert achieved <= 1e-6
 
+    def test_rejects_nonpositive_mode_count(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            p_c2d(1e-3, FIG2A, -3)
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -94,6 +95,27 @@ class TestHyp1f1:
     def test_overflow_signaled(self):
         with pytest.raises(OverflowError):
             hyp1f1(0.5, 1.0, 2000.0)
+
+
+class TestMpmathOracle:
+    # 40-digit mpmath values, independent of scipy.  The two fixed points sit
+    # just past z = 60, where a Taylor/asymptotic crossover would show.
+    def test_hyp1f1_and_laguerre(self):
+        rng = np.random.default_rng(20261018)
+        points = [(-9.9, 2.7, 61.0), (-9.87, 2.73, 66.3)]
+        points += [
+            (rng.uniform(-10, 10), rng.uniform(0.1, 10), rng.uniform(-300, 300))
+            for _ in range(200)
+        ]
+        with mpmath.workdps(40):
+            for a, b, z in points:
+                want = float(mpmath.hyp1f1(a, b, z))
+                assert_allclose(hyp1f1(a, b, z), want, rtol=1e-12, atol=0)
+            x = np.linspace(-50, 50, 41)
+            for n in (2, 17, 60, 199, 500):
+                want = np.array([float(mpmath.laguerre(n, 0, xi)) for xi in x])
+                err = np.abs(laguerre(n, x) - want) / np.maximum(np.abs(want), 1.0)
+                assert np.max(err) <= 1e-12, (n, np.max(err))
 
 
 class TestScaledChi2Pdf:
