@@ -7,6 +7,8 @@ detection (``discrimination``), phase estimation (``metrology``), classical
 communication (``communication``), and practical receivers (``receivers``).
 """
 
+import math
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -27,3 +29,13 @@ class EntsenseError(Exception):
     """Base class of the failures the package raises itself (a quadrature
     that misses its tolerance, a photon-number tail that never closes);
     bad arguments raise ``ValueError`` instead."""
+
+
+def _check_inputs(n_s: float = 0.0, m: float = 1) -> None:
+    """Raise ``ValueError`` unless the source brightness ``n_s`` is finite
+    and nonnegative and the mode count ``m`` is finite and at least 1; the
+    one input rule of every public function that takes either."""
+    if not 0.0 <= n_s < math.inf:
+        raise ValueError("n_s must be finite and nonnegative")
+    if not 1 <= m < math.inf:
+        raise ValueError("m must be a positive integer")

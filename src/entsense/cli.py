@@ -360,10 +360,9 @@ def _receiver_row(config, index, amplitude):
 
 
 def _fig2a_row(config, index, m):
-    ns, ch = 1e-3, ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
-    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
-    row = [m, value, nair_gu_bound(ns, ch, m), p_classical_coherent(ns, ch, m)]
-    return row, achieved
+    # the illumination row at the Fig. 2 channel, less n_s, n_b, kappa and Lemma 1
+    row, achieved = _illumination_row(config, index, 1e-3, 20.0, 0.01, m)
+    return [m, *row[4:6], row[7]], achieved
 
 
 def _fig2b_row(config, index, ns, nb):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import lambertw, ndtr
 
-from . import EntsenseError
+from . import EntsenseError, _check_inputs
 from .conversion import ConversionParams, conversion_params, expect_total_displacement
 from .discrimination import _NODE_BLOCK_BYTES, _golden_section_min
 from .fockstates import bpsk_mixture_matrix, dephased_pmf, recommended_dim
@@ -96,15 +96,13 @@ def g_entropy(n: float) -> float:
 def capacity_classical(n_s: float, ch: ChannelParams) -> float:
     """Energy-constrained classical capacity without assistance:
     ``g(kappa n_s + n_b) - g(n_b)`` bits per mode."""
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s)
     return g_entropy(ch.kappa * n_s + ch.n_b) - g_entropy(ch.n_b)
 
 
 def capacity_ea(n_s: float, ch: ChannelParams) -> float:
     """Entanglement-assisted classical capacity of the thermal-loss channel."""
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s)
     if n_s == 0:
         return 0.0
     ns_prime = ch.kappa * n_s + ch.n_b
@@ -246,6 +244,7 @@ def holevo_c2d_bpsk(
         never below 3.
     tail_tol : largest admissible truncated mass.
     """
+    _check_inputs(m=m)
     params = conversion_params(n_s, ch)
     x = 2.0 * m * params.xi
     if x == 0.0:
@@ -322,8 +321,7 @@ def green_machine_optimal_n(
     well-signed (u > 0, v < 0); otherwise falls back to a grid search over
     powers of 2 up to 2**16.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     n_b, kappa = ch.n_b, ch.kappa
     u = (
         -n_s
@@ -401,6 +399,7 @@ def opar_photon_pmfs(
     all returned arrays share the support ``0 .. n_max`` chosen so every
     tail is below 1e-12.
     """
+    _check_inputs(n_s, m)
     # scipy.stats costs ~45 MB resident; nothing else in the package needs it.
     from scipy.stats import nbinom
 
@@ -430,6 +429,7 @@ def pcr_count_pmfs(
     unit bins centered on integers; arrays share one support window covering
     all hypotheses to 12 sigma.
     """
+    _check_inputs(n_s, m)
     counts = [_pcr_counts(n_s, ch, float(gain), th) for th in thetas]
     mus = [m * mean for mean, _, _ in counts]
     sigmas = [math.sqrt(m * var) for _, _, var in counts]

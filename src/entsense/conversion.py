@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtri, gammaincinv
 
-from . import EntsenseError
+from . import EntsenseError, _check_inputs
 from .gaussian import ChannelParams
 from .special import RngStream, scaled_chi2_pdf
 
@@ -112,8 +112,7 @@ class ConversionOutcome:
 
 def conversion_params(n_s: float, ch: ChannelParams) -> ConversionParams:
     """Conversion parameters for source brightness ``n_s`` through channel ``ch``."""
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s)
     v_m = (ch.n_b + ch.kappa * n_s + 1.0) / 2.0
     c_p = math.sqrt(ch.kappa * n_s * (n_s + 1.0))
     xi = c_p**2 / (4.0 * v_m)
@@ -171,9 +170,8 @@ def simulate_conversion(
     ``E|M|^2 = kappa n_s + n_b + 1``; displacements follow
     ``d = (c_p / (2 v_m)) e^{i theta} M^*``.
     """
+    _check_inputs(m=m)
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     params = conversion_params(n_s, ch)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     sigma = math.sqrt(params.v_m)
@@ -197,6 +195,7 @@ def total_displacement_density(params: ConversionParams, m: int, x: float):
     Returns :data:`DIRAC_MASS_AT_ZERO` when ``xi == 0`` (no signal
     correlation: the combined displacement is identically zero).
     """
+    _check_inputs(m=m)
     if params.xi == 0.0:
         return DIRAC_MASS_AT_ZERO
     return scaled_chi2_pdf(x, int(m), params.xi)
@@ -217,8 +216,7 @@ def displacement_support(params: ConversionParams, m: int) -> float:
     node the quantile map places; the range starts at 0.  ``xi == 0`` gives
     0.
     """
-    if int(m) < 1:
-        raise ValueError("m must be a positive integer")
+    _check_inputs(m=m)
     if params.xi == 0.0:
         return 0.0
     return float(chdtri(2 * m, _QUANTILE_MAP_TAIL) * params.xi)
@@ -264,9 +262,8 @@ def expect_total_displacement(
     QuadratureError
         If doubling the panel count five times never meets ``quad_tol``.
     """
+    _check_inputs(m=m)
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if not quad_tol > 0:
         raise ValueError("quad_tol must be positive")
     if params.xi == 0.0:

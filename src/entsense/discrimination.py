@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 
+from . import _check_inputs
 from .conversion import (
     ConversionParams,
     conversion_params,
@@ -216,8 +217,6 @@ def qcb_gaussian(state1: GaussianState, state2: GaussianState) -> QcbResult:
 def _c2d_states(n_s: float, ch: ChannelParams) -> tuple[ConversionParams, float]:
     if ch.theta != 0.0:
         raise ValueError("conversion hypotheses are defined at theta = 0")
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
     params = conversion_params(n_s, ch)
     return params, params.e_noise
 
@@ -276,8 +275,7 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
     The result lies in ``[0, 1/2]``, accurate to only about 1e-14 absolute
     (eigenvalue rounding).
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     amp_sq = ch.kappa * m * n_s
     errors = _thermal_helstrom_errors(ch.n_b, ch.n_b, recommended_dim(amp_sq, ch.n_b))
     return float(errors(np.array([amp_sq]))[0])
@@ -288,10 +286,7 @@ def nair_gu_bound(n_s: float, ch: ChannelParams, m: int) -> float:
 
     ``exp(-beta m n_s) / 4`` with ``beta = -ln(1 - kappa/(n_b+1))``.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_inputs(n_s, m)
     if n_s == 0.0 or ch.kappa == 0.0:
         return 0.25
     beta = -math.log1p(-ch.kappa / (ch.n_b + 1.0))
@@ -305,8 +300,7 @@ def lemma1_upper_bound(n_s: float, ch: ChannelParams, m: int) -> float:
     minimized by golden-section search over ``s``.
     """
     params, e_noise = _c2d_states(n_s, ch)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_inputs(m=m)
     if params.xi == 0.0:
         return 0.5
     nu1 = 1.0 + 2.0 * n_s

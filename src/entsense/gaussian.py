@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import _check_inputs
+
 __all__ = [
     "GaussianState",
     "ChannelParams",
@@ -117,8 +119,8 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
-        if self.n_b < 0.0:
-            raise ValueError("n_b must be nonnegative")
+        if not 0.0 <= self.n_b < math.inf:
+            raise ValueError("n_b must be finite and nonnegative")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -151,8 +153,7 @@ def tmsv(n_s: float) -> GaussianState:
     Zero mean; covariance has diagonal blocks ``(2 n_s + 1) I`` and
     off-diagonal blocks ``2 sqrt(n_s (n_s + 1)) Z``.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s)
     z = np.diag([1.0, -1.0])
     eye = np.eye(2)
     c = 2.0 * math.sqrt(n_s * (n_s + 1.0))

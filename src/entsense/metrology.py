@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from . import _check_inputs
 from .conversion import conversion_params
 from .gaussian import ChannelParams, GaussianState
 from .receivers import _opar_counts, _pcr_counts
@@ -129,8 +130,7 @@ def qfi_c2d(n_s: float, ch: ChannelParams, m: int) -> float:
     ``4 m kappa n_s (n_s+1) / (1 + n_b + n_s (2 n_b + 2 - kappa))``,
     algebraically equal to ``8 m xi / (1 + 2 E)``.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     return (
         4.0 * m * ch.kappa * n_s * (n_s + 1.0)
         / (1.0 + ch.n_b + n_s * (2.0 * ch.n_b + 2.0 - ch.kappa))
@@ -140,8 +140,7 @@ def qfi_c2d(n_s: float, ch: ChannelParams, m: int) -> float:
 def qfi_cs(n_s: float, ch: ChannelParams, m: int) -> float:
     """Phase Fisher information of coherent-state probes of the same
     per-mode energy: ``4 m kappa n_s / (1 + 2 n_b)``."""
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     return 4.0 * m * ch.kappa * n_s / (1.0 + 2.0 * ch.n_b)
 
 
@@ -151,8 +150,7 @@ def qfi_upper_bound(n_s: float, ch: ChannelParams, m: int) -> float:
     Uses the environment brightness ``n_b' = n_b / (1 - kappa)``; the
     lossless point ``kappa = 1`` is outside the bound's domain.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     if ch.kappa >= 1.0:
         raise ValueError("the upper bound requires kappa < 1")
     kappa = ch.kappa
@@ -169,8 +167,7 @@ def qfi_upper_bound(n_s: float, ch: ChannelParams, m: int) -> float:
 def qfi_tmsv(n_s: float, ch: ChannelParams, m: int) -> float:
     """Phase QFI of the noisy channel output of two-mode squeezed vacuum:
     ``4 m kappa n_s (n_s+1) / (1 + n_b (1 + 2 n_s) + n_s (1 - kappa))``."""
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     return (
         4.0 * m * ch.kappa * n_s * (n_s + 1.0)
         / (1.0 + ch.n_b * (1.0 + 2.0 * n_s) + n_s * (1.0 - ch.kappa))
@@ -198,8 +195,7 @@ def opar_optimal_gain(n_s: float, ch: ChannelParams) -> float:
     source (``n_b' > n_s + 1``), which holds throughout the quantum
     illumination regime.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s)
     nbp = ch.n_b + ch.kappa * n_s + 1.0
     den = (nbp - n_s - 1.0) * (nbp + n_s)
     if den <= 0:
@@ -221,8 +217,7 @@ def fi_opar(
     phase-sensitive cross term.  ``gain=None`` selects
     :func:`opar_optimal_gain`.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
     _, amp, var = _opar_counts(n_s, ch, g, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0
@@ -238,7 +233,6 @@ def fi_pcr(
     and their correlation ``C_CI``.  The default exposes the ``G = 2``
     specialization.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
+    _check_inputs(n_s, m)
     _, amp, var = _pcr_counts(n_s, ch, float(gain), theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0

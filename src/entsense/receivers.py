@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _check_inputs
 from .fockstates import DisplacedThermal, dephased_pmf
 from .gaussian import ChannelParams
 from .special import RngStream
@@ -108,8 +109,7 @@ class ThresholdDetector:
         """
         if sigma0 <= 0 or sigma1 <= 0:
             raise ValueError("sigma0 and sigma1 must be positive")
-        if m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_inputs(m=m)
         cut = m * (sigma1 * mu0 + sigma0 * mu1) / (sigma0 + sigma1)
         return cls(threshold=math.ceil(cut))
 
@@ -385,10 +385,7 @@ def opar_pe(
     gain : float, optional
         Amplifier gain ``G >= 1``; defaults to the weak-signal optimum.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_inputs(n_s, m)
     if gain is None:
         if ch.n_b <= 0:
             raise ValueError(
@@ -430,10 +427,7 @@ def pcr_pe(n_s: float, ch: ChannelParams, m: int) -> float:
     m : int
         Number of copies (the Gaussian approximation assumes ``m >> 1``).
     """
-    if n_s < 0:
-        raise ValueError("n_s must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_inputs(n_s, m)
     mu0, _, var0 = _pcr_counts(n_s, replace(ch, kappa=0.0), 2.0, 0.0)
     mu1, _, var1 = _pcr_counts(n_s, ch, 2.0, 0.0)
     rate = (mu1 - mu0) ** 2 / (4.0 * (var0 + var1))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_laguerre, hyp1f1 as _scipy_hyp1f1
 
+from . import _check_inputs
+
 __all__ = [
     "RngStream",
     "laguerre",
@@ -140,9 +142,8 @@ def scaled_chi2_pdf(x, m: int, xi: float):
     xi : float
         Positive scale.
     """
+    _check_inputs(m=m)
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if not xi > 0:
         raise ValueError("xi must be positive")
     x = np.asarray(x, dtype=float)
@@ -192,9 +193,8 @@ def sample_scaled_chi2(m: int, xi: float, rng, size=None):
     size : int or tuple, optional
         ``None`` returns a scalar.
     """
+    _check_inputs(m=m)
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if not xi > 0:
         raise ValueError("xi must be positive")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
