@@ -33,9 +33,10 @@ class EntsenseError(Exception):
 
 def _check_inputs(n_s: float = 0.0, m: float = 1) -> None:
     """Raise ``ValueError`` unless the source brightness ``n_s`` is finite
-    and nonnegative and the mode count ``m`` is finite and at least 1; the
-    one input rule of every public function that takes either."""
+    and nonnegative and the mode count ``m`` is a finite integer (of any
+    numeric type) of at least 1; the one input rule of every public
+    function that takes either."""
     if not 0.0 <= n_s < math.inf:
         raise ValueError("n_s must be finite and nonnegative")
-    if not 1 <= m < math.inf:
+    if not (1 <= m < math.inf and m == math.floor(m)):
         raise ValueError("m must be a positive integer")

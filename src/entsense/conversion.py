@@ -48,7 +48,8 @@ DIRAC_MASS_AT_ZERO = _DiracMassAtZero()
 
 
 class QuadratureError(EntsenseError, RuntimeError):
-    """Raised when doubling the quadrature panels misses the requested tolerance."""
+    """Raised when doubling the quadrature panels from 1 to 256 never meets
+    the requested tolerance; ``achieved`` holds the last level's estimate."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
@@ -242,15 +243,18 @@ def expect_total_displacement(
 
     Computes ``E[f(X)]`` for ``X = |d_T|^2`` distributed per
     :func:`total_displacement_density`, by uniform Gauss-Legendre panels on
-    the chi-square quantile map at every ``m``, doubled from 8 until two
-    levels agree; the nodes stay inside ``[0, displacement_support(params, m)]``.
+    the chi-square quantile map at every ``m``: one panel of 16 nodes is
+    compared with two, and the panel count doubles until two successive
+    levels agree, returning the finer one.  A smooth integrand converges at
+    the first comparison, 48 evaluations of ``f`` in two calls.  The nodes
+    stay inside ``[0, displacement_support(params, m)]``.
 
     Parameters
     ----------
     f : callable
         Maps an ndarray of x values to an ndarray of integrand values.
     quad_tol : float
-        Relative tolerance on the doubling refinement.
+        Relative tolerance on the difference of successive levels.
 
     Returns
     -------
@@ -260,7 +264,7 @@ def expect_total_displacement(
     Raises
     ------
     QuadratureError
-        If doubling the panel count five times never meets ``quad_tol``.
+        If 256 panels (eight doublings) still miss ``quad_tol``.
     """
     _check_inputs(m=m)
     m = int(m)
@@ -292,10 +296,10 @@ def expect_total_displacement(
     def level_value(n_panels: int) -> float:
         return _panel_integral(weighted, np.linspace(0.0, 1.0, n_panels + 1))
 
-    n_panels = 8
+    n_panels = 1
     prev = level_value(n_panels)
     achieved = math.inf
-    for _ in range(5):
+    for _ in range(8):
         n_panels *= 2
         cur = level_value(n_panels)
         denom = max(abs(cur), 1e-300)

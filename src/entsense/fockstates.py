@@ -11,6 +11,7 @@ are all read off that one construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -108,12 +109,14 @@ def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
     - q^2 sqrt(n(n+k)) g[n-1, k]``.  It runs on mantissas renormalized by
     exact powers of two at every step; ``exp2`` holds each diagonal's
     exponent, so no entry flushes to zero before double precision would.
+    The table of ``sqrt(n)`` grows with the walk, so a generator created
+    with a generous ``n_rows`` and stopped early costs only what it yields.
     """
     x = x[:, None]
     q = e / (e + 1.0)
     s = x / (e + 1.0) ** 2
     k = np.arange(n_diags)
-    root = np.sqrt(np.arange(n_rows + n_diags + 1.0))
+    root = np.sqrt(np.arange(n_diags + 2.0))
     with np.errstate(divide="ignore"):  # log 0 = -inf: g[0, k>0] at x = 0
         log2_g0 = (
             xlogy(0.5 * k, x) - x / (e + 1.0) - 0.5 * gammaln(k + 1.0)
@@ -126,6 +129,8 @@ def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
         width = min(n_diags, n_rows - n)
         cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
         yield np.ldexp(cur, exp2)
+        if root.size < n + 2 + width:
+            root = np.sqrt(np.arange(min(2 * n, n_rows) + n_diags + 1.0))
         nxt = (
             ((2 * n + 1) * q + s + q * k[:width]) * cur
             - (q * q * root[n]) * root[n : n + width] * prev
@@ -195,9 +200,13 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
     s = amp_sq + e_noise
     floor_dim = math.ceil(s + 8.0 * math.sqrt(s + 1.0)) + 4
     cap = floor_dim + 64
+    # one walk of the pmf recurrence (the diagonal of
+    # displaced_thermal_matrix, as in dephased_pmf), checked at each cap
+    levels = _laguerre_columns(np.array([amp_sq]), e_noise, cap << 15, 1)
+    pmf = []
     for _ in range(16):
-        ns = np.arange(cap)
-        weighted = (ns + 1.0) * dephased_pmf(amp_sq, e_noise, ns)
+        pmf.extend(col[0, 0] for col in itertools.islice(levels, cap - len(pmf)))
+        weighted = (np.arange(cap) + 1.0) * np.array(pmf)
         if weighted[-8:].sum() < 1e-3 * tail_tol:
             tail = np.cumsum(weighted[::-1])[::-1]
             hits = np.nonzero(tail <= 0.5 * tail_tol)[0]

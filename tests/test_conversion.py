@@ -6,6 +6,8 @@ import scipy.linalg
 import scipy.stats
 from numpy.testing import assert_allclose
 
+from entsense import communication, discrimination
+from entsense.communication import GreenMachineConfig
 from entsense.conversion import (
     DIRAC_MASS_AT_ZERO,
     QuadratureError,
@@ -226,9 +228,9 @@ class TestExpectTotalDisplacement:
         p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
         seen = []
         expect_total_displacement(p, 4, lambda x: seen.append(x) or np.ones_like(x))
-        edges = np.linspace(0.0, 1.0, 9)
+        edges = np.linspace(0.0, 1.0, 2)
         nodes, _ = np.polynomial.legendre.leggauss(16)
-        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.0625 * nodes).ravel()
+        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * nodes).ravel()
 
         def smooth(v):
             return v**4 * (35.0 - 84.0 * v + 70.0 * v**2 - 20.0 * v**3)
@@ -250,3 +252,80 @@ class TestExpectTotalDisplacement:
                 p, 4, lambda x: np.sin(2e4 * x / scale), quad_tol=1e-12
             )
         assert err.value.achieved > 0
+
+
+def _reference_on_quantile_map(params, m, f, n_panels=1024):
+    """E[f(X)] on ``n_panels`` uniform 16-node Gauss-Legendre panels of the
+    smoothstep chi-square quantile map, built from scipy.stats."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 / n_panels
+    mids = (np.arange(n_panels) + 0.5) / n_panels
+    t = (mids[:, None] + half * nodes).ravel()
+
+    def smooth(v):
+        return v**4 * (35.0 - 84.0 * v + 70.0 * v**2 - 20.0 * v**3)
+
+    dist = scipy.stats.chi2(2 * m, scale=params.xi)
+    x = np.where(t <= 0.5, dist.ppf(smooth(t)), dist.isf(smooth(1.0 - t)))
+    jacobian = 140.0 * t**3 * (1.0 - t) ** 3
+    return float(np.sum(f(x) * jacobian * np.tile(weights, n_panels)) * half)
+
+
+def _criterion_2_corner(n_s, n_b, kappa):
+    ch = ChannelParams(kappa=kappa, theta=0.0, n_b=n_b)
+    m = max(1, min(10**6, round(2.0 / conversion_params(n_s, ch).xi)))
+    return lambda quad: discrimination.p_c2d(n_s, ch, m)
+
+
+_FIG5 = ChannelParams(0.01, 0.0, 100.0)
+_P_BIG = conversion_params(0.001, FIG2A["ch"])
+ORACLE_CASES = {
+    **{
+        f"criterion 2 n_s={n_s} n_b={n_b} kappa={kappa}": _criterion_2_corner(n_s, n_b, kappa)
+        for n_s in (1e-4, 0.5)
+        for n_b in (0.1, 100.0)
+        for kappa in (0.01, 0.5)
+    },
+    "2a M=1e6": lambda quad: discrimination.p_c2d(1e-3, FIG2A["ch"], 10**6),
+    "3a n_s=1 n_b=10 m=5678": lambda quad: discrimination.p_c2d(
+        1.0, ChannelParams(0.01, 0.0, 10.0), 5678
+    ),
+    "5a n_s=1e-3 m=1": lambda quad: communication.holevo_c2d_cpsk(1e-3, _FIG5, 1),
+    "green machine n=128 M=20319": lambda quad: communication.green_machine_rate(
+        1e-3, _FIG5, GreenMachineConfig(128, 20319)
+    ),
+    "criterion 1 M=1e5": lambda quad: discrimination.p_c2d(1e-3, FIG2A["ch"], 10**5),
+    "criterion 1 M=3e6": lambda quad: discrimination.p_c2d(1e-3, FIG2A["ch"], 3 * 10**6),
+    "5a n_s=1e-3 M=1e4": lambda quad: communication.holevo_c2d_cpsk(1e-3, _FIG5, 10**4),
+    "m=3e8 normalization": lambda quad: quad(_P_BIG, 3 * 10**8, np.ones_like, 1e-9),
+    "m=3e8 mean": lambda quad: quad(_P_BIG, 3 * 10**8, lambda x: x, 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_quadrature_against_1024_panel_reference(name, monkeypatch):
+    # Within quad_tol of the reference, an achieved estimate no smaller than
+    # the true error (rounding aside), and 16 + 32 evaluations per call.
+    calls = []
+
+    def quad(params, m, f, quad_tol=1e-6):
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        value, achieved = expect_total_displacement(params, m, counted, quad_tol)
+        calls.append((params, m, f, quad_tol, value, achieved, sizes))
+        return value, achieved
+
+    monkeypatch.setattr(discrimination, "expect_total_displacement", quad)
+    monkeypatch.setattr(communication, "expect_total_displacement", quad)
+    ORACLE_CASES[name](quad)
+    assert len(calls) == 1
+    params, m, f, quad_tol, value, achieved, sizes = calls[0]
+    ref = _reference_on_quantile_map(params, m, f)
+    error = abs(value - ref) / abs(ref)
+    assert error <= quad_tol
+    assert max(achieved, 1e-13) >= error
+    assert sum(sizes) == 48

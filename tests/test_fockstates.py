@@ -306,6 +306,40 @@ class TestRecommendedDim:
         with pytest.raises(ValueError):
             recommended_dim(-1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "amp_sq, e, want",
+        [(0.002, 100.0, 2960), (10.0, 20.0, 693), (3.0, 0.0, None), (0.0, 7.0, None)],
+    )
+    def test_matches_brute_force_cutoff(self, amp_sq, e, want):
+        cutoff = recommended_dim(amp_sq, e)
+        assert cutoff == _brute_force_cutoff(amp_sq, e)
+        assert want is None or cutoff == want
+
+
+def _brute_force_cutoff(amp_sq, e, tail_tol=1e-9):
+    """recommended_dim's rule on one dephased_pmf call that reaches the
+    first doubling of the starting cap whose last 8 (n+1)-weighted levels
+    sum below 1e-3 tail_tol."""
+    s = amp_sq + e
+    floor_dim = math.ceil(s + 8.0 * math.sqrt(s + 1.0)) + 4
+    cap = floor_dim + 64
+    while True:
+        weighted = (np.arange(cap) + 1.0) * dephased_pmf(amp_sq, e, np.arange(cap))
+        if weighted[-8:].sum() < 1e-3 * tail_tol:
+            break
+        cap *= 2
+    tail = np.cumsum(weighted[::-1])[::-1]
+    return max(floor_dim, int(np.nonzero(tail <= 0.5 * tail_tol)[0][0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    amp_sq=st.one_of(st.just(0.0), st.floats(1e-5, 300.0)),
+    e=st.one_of(st.just(0.0), st.floats(1e-4, 50.0)),
+)
+def test_recommended_dim_equals_brute_force(amp_sq, e):
+    assert recommended_dim(amp_sq, e) == _brute_force_cutoff(amp_sq, e)
+
 
 class TestDisplacedThermalMatrix:
     @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ THETAS = (0.0, math.pi)
 
 BAD = {
     "n_s": ((-1e-3, math.nan, math.inf), "n_s must be finite and nonnegative"),
-    "m": ((0, -3, math.nan), "m must be a positive integer"),
+    "m": ((0, -3, 2.5, math.nan), "m must be a positive integer"),
 }
 
 
