@@ -71,6 +71,7 @@ from .communication import (
 from .conversion import conversion_params
 from .discrimination import (
     PatternHypothesis,
+    _coherent_helstrom_error,
     c2d_exponent_bounds,
     lemma1_upper_bound,
     nair_gu_bound,
@@ -380,24 +381,42 @@ def _fig2b_row(config, index, ns, nb):
 
 
 def _mode_count_for_classical_level(ns, ch, level):
-    """Smallest m at which the coherent-state Helstrom error is <= level."""
-    if p_classical_coherent(ns, ch, 1) <= level:
+    """Smallest m at which the coherent-state Helstrom error is <= level.
+
+    The error depends on m only through a = kappa m n_s, and the quantum
+    Chernoff bound Q = exp(-c a), c = (sqrt(n_b+1) - sqrt(n_b))^2, brackets
+    it: Q^2/4 <= P(a) <= Q/2.  Brent's method finds ln P(a) = ln level
+    inside that bracket; integer steps on ``p_classical_coherent`` then
+    make m exactly the smallest.
+    """
+    import scipy.optimize  # at module level it slows `import entsense.cli`
+
+    if level >= 0.5:  # P(a) <= 1/2 at every a
         return 1
-    lo, hi = 1, 2
-    while p_classical_coherent(ns, ch, hi) > level:
-        lo, hi = hi, hi * 2
-        if hi > 2**34:
-            raise ValueError(
-                "classical error level unreachable within 2^34 modes; "
-                "raise the level or the channel contrast"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if p_classical_coherent(ns, ch, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    a1 = ch.kappa * ns
+    if not (level > 0.0 and a1 > 0.0):
+        raise ValueError(
+            "classical error level unreachable; raise the level or the channel contrast"
+        )
+    c = (math.sqrt(ch.n_b + 1.0) - math.sqrt(ch.n_b)) ** 2
+    lo = math.log(0.25 / level) / (2.0 * c)
+    if lo <= a1:  # the bracket reaches down to m = 1
+        if p_classical_coherent(ns, ch, 1) <= level:
+            return 1
+        lo = a1
+    hi = math.log(0.5 / level) / c
+    root = scipy.optimize.brentq(
+        lambda a: math.log(_coherent_helstrom_error(a, ch.n_b) / level),
+        lo,
+        hi,
+        xtol=0.25 * a1,
+    )
+    m = math.ceil(root / a1)
+    while p_classical_coherent(ns, ch, m) > level:
+        m += 1
+    while m > 1 and p_classical_coherent(ns, ch, m - 1) <= level:
+        m -= 1
+    return m
 
 
 def _fig3a_row(config, index, ns, nb):

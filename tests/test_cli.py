@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from entsense import cli
+from entsense import cli, discrimination
 from entsense.cli import SweepConfig, main, parse_grid, run
 from entsense.communication import (
     PhotonTailError,
@@ -575,6 +575,52 @@ class TestModeCountBisection:
     def test_trivial_level(self):
         ch = ChannelParams(kappa=0.5, theta=0.0, n_b=0.1)
         assert cli._mode_count_for_classical_level(0.5, ch, 0.5) == 1
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Arguments of every coherent-state Helstrom solve, counted at the
+        private solver behind both the search and ``p_classical_coherent``."""
+        calls = []
+        solve = discrimination._coherent_helstrom_error
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(discrimination, "_coherent_helstrom_error", counted)
+        monkeypatch.setattr(cli, "_coherent_helstrom_error", counted)
+        return calls
+
+    @pytest.mark.parametrize("ns", [1e-2, 1.0])
+    @pytest.mark.parametrize("nb", [0.1, 10.0])
+    def test_bracket_matches_doubling_bisection(self, solves, ns, nb):
+        # the corners of preset 3a
+        ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
+        want = _doubling_bisection(ns, ch, 0.05)
+        solves.clear()
+        assert cli._mode_count_for_classical_level(ns, ch, 0.05) == want
+        assert len(solves) <= 12
+
+    def test_no_target_is_unreachable_at_once(self, solves):
+        ch = ChannelParams(kappa=0.0, theta=0.0, n_b=1.0)
+        with pytest.raises(ValueError, match="unreachable"):
+            cli._mode_count_for_classical_level(0.1, ch, 0.05)
+        assert solves == []
+
+
+def _doubling_bisection(ns, ch, level):
+    """Smallest m with p_classical_coherent <= level, by doubling m from 1
+    and then bisecting: the search the closed-form bracket replaced."""
+    lo, hi = 0, 1
+    while p_classical_coherent(ns, ch, hi) > level:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if p_classical_coherent(ns, ch, mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def subprocess_env():

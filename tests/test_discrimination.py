@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entsense.conversion import conversion_params
 from entsense.discrimination import (
     PatternHypothesis,
+    _coherent_helstrom_error,
     _helstrom_error,
     c2d_exponent_bounds,
     helstrom_numeric,
@@ -219,8 +220,10 @@ class TestPClassicalCoherent:
         ],
     )
     def test_matches_validated_helstrom(self, n_s, kappa, n_b, m):
+        # the oracle runs at twice the cutoff: at (0.1, 0.5, 1.0, 80) its
+        # own truncation at the cutoff (62) is 1.5e-12
         amp_sq = kappa * m * n_s
-        dim = recommended_dim(amp_sq, n_b)
+        dim = 2 * recommended_dim(amp_sq, n_b)
         want = helstrom_numeric(
             to_fock(DisplacedThermal(0.0, n_b), dim),
             to_fock(DisplacedThermal(math.sqrt(amp_sq), n_b), dim),
@@ -243,6 +246,30 @@ class TestPClassicalCoherent:
         # which left the unclamped error near -1e-14
         got = p_classical_coherent(0.1, ChannelParams(0.5, 0.0, 0.0), m)
         assert 0.0 <= got <= 1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    # subnormal amplitudes excluded: at n_b = 0 the pmf recurrence turns NaN
+    # there, and recommended_dim walks to its cap before it raises
+    amp_sq=st.one_of(st.just(0.0), st.floats(0.0, 40.0, allow_subnormal=False)),
+    n_b=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
+)
+@example(amp_sq=0.0102814142, n_b=0.238491066)
+def test_parity_split_matches_validated_helstrom(amp_sq, n_b):
+    dim = recommended_dim(amp_sq, n_b)
+    assume(dim <= 150)
+    got = _coherent_helstrom_error(amp_sq, n_b)
+    want = helstrom_numeric(
+        to_fock(DisplacedThermal(0.0, n_b), 2 * dim),
+        to_fock(DisplacedThermal(math.sqrt(amp_sq), n_b), 2 * dim),
+    )
+    # at small cutoffs the truncation reaches 1.3e-11 (15 levels, the
+    # example above), about half of the trace the cutoff drops from the
+    # displaced state; a flat 1e-12 holds only above ~20 levels
+    dropped = 1.0 - np.trace(displaced_thermal_matrix(amp_sq, n_b, dim))
+    assert 0.0 <= got <= 0.5
+    assert abs(got - want) <= 1e-12 + dropped
 
 
 class TestAnalyticBounds:
