@@ -49,11 +49,21 @@ DIRAC_MASS_AT_ZERO = _DiracMassAtZero()
 
 class QuadratureError(EntsenseError, RuntimeError):
     """Raised when doubling the quadrature panels from 1 to 256 never meets
-    the requested tolerance; ``achieved`` holds the last level's estimate."""
+    the requested tolerance.
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
+    ``achieved`` is the last relative change between levels; ``estimate``
+    and ``change`` are the finest level's value and its absolute change, so
+    a value at its own rounding floor reads as such in the message.
+    """
+
+    def __init__(self, message: str, achieved: float, estimate: float, change: float):
+        super().__init__(
+            f"{message} (achieved tolerance {achieved:.3e}; "
+            f"last estimate {estimate:.6e}, absolute change {change:.3e})"
+        )
         self.achieved = achieved
+        self.estimate = estimate
+        self.change = change
 
 
 @dataclass(frozen=True)
@@ -298,16 +308,15 @@ def expect_total_displacement(
 
     n_panels = 1
     prev = level_value(n_panels)
-    achieved = math.inf
     for _ in range(8):
         n_panels *= 2
         cur = level_value(n_panels)
-        denom = max(abs(cur), 1e-300)
-        achieved = abs(cur - prev) / denom
+        change = abs(cur - prev)
+        achieved = change / max(abs(cur), 1e-300)
         prev = cur
         if achieved <= quad_tol:
             return cur, achieved
     raise QuadratureError(
         f"quadrature did not reach tolerance {quad_tol:.3e} "
-        f"after {n_panels} panels", achieved
+        f"after {n_panels} panels", achieved, cur, change
     )

@@ -98,45 +98,78 @@ class FockMatrix:
         return 1.0 - float(np.trace(self.entries).real)
 
 
-def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
-    """Yield ``g[n, k] = rho_{n+k, n}``, shape ``(B, min(n_diags, n_rows - n))``,
-    for ``n = 0 .. n_rows - 1`` and the ``B`` squared displacements ``x``.
-
-    With ``q = E/(E+1)`` and ``s = x/(E+1)^2`` each diagonal ``k`` starts at
-    ``g[0, k] = x^{k/2} e^{-x/(E+1)} / (sqrt(k!) (E+1)^{k+1})`` and follows the
-    associated Laguerre recurrence
-    ``g[n+1, k] sqrt((n+1)(n+k+1)) = ((2n+1+k) q + s) g[n, k]
-    - q^2 sqrt(n(n+k)) g[n-1, k]``.  It runs on mantissas renormalized by
-    exact powers of two at every step; ``exp2`` holds each diagonal's
-    exponent, so no entry flushes to zero before double precision would.
-    The table of ``sqrt(n)`` grows with the walk, so a generator created
-    with a generous ``n_rows`` and stopped early costs only what it yields.
-    """
-    x = x[:, None]
-    q = e / (e + 1.0)
-    s = x / (e + 1.0) ** 2
-    k = np.arange(n_diags)
-    root = np.sqrt(np.arange(n_diags + 2.0))
+def _diagonal_start(x: np.ndarray, e: float, k: np.ndarray):
+    """``g[0, k] = x^{k/2} e^{-x/(E+1)} / (sqrt(k!) (E+1)^{k+1})`` for the
+    squared displacements ``x`` (shape ``(B, 1)``) and diagonals ``k``, as a
+    mantissa in ``[1, 2)`` (or 0) and an integer power-of-two exponent."""
     with np.errstate(divide="ignore"):  # log 0 = -inf: g[0, k>0] at x = 0
         log2_g0 = (
             xlogy(0.5 * k, x) - x / (e + 1.0) - 0.5 * gammaln(k + 1.0)
             - (k + 1) * math.log1p(e)
         ) / math.log(2.0)
     exp2 = np.floor(np.nan_to_num(log2_g0, neginf=0.0)).astype(int)
-    cur = np.exp2(log2_g0 - exp2)
+    return np.exp2(log2_g0 - exp2), exp2
+
+
+def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
+    """Yield ``g[n, k] = rho_{n+k, n}``, shape ``(B, min(n_diags, n_rows - n))``,
+    for ``n = 0 .. n_rows - 1`` and the ``B`` squared displacements ``x``.
+
+    With ``q = E/(E+1)`` and ``s = x/(E+1)^2`` each diagonal ``k`` starts at
+    :func:`_diagonal_start` and follows the associated Laguerre recurrence
+    ``g[n+1, k] sqrt((n+1)(n+k+1)) = ((2n+1+k) q + s) g[n, k]
+    - q^2 sqrt(n(n+k)) g[n-1, k]``.  It runs on mantissas renormalized by
+    exact powers of two at every step; ``exp2`` holds each diagonal's
+    exponent, so no entry flushes to zero before double precision would.
+    Where ``q^2`` is 0 the ``g[n-1, k]`` term is dropped, not multiplied:
+    a step that falls by more than ``2^1024`` (``E = 0`` and a subnormal
+    ``x``) leaves it infinite in the new scale.
+    """
+    x = x[:, None]
+    q = e / (e + 1.0)
+    qq = q * q
+    s = x / (e + 1.0) ** 2
+    k = np.arange(n_diags)
+    root = np.sqrt(np.arange(n_rows + 1.0))
+    cur, exp2 = _diagonal_start(x, e, k)
     prev = np.zeros_like(cur)
     for n in range(n_rows):
         width = min(n_diags, n_rows - n)
         cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
         yield np.ldexp(cur, exp2)
-        if root.size < n + 2 + width:
-            root = np.sqrt(np.arange(min(2 * n, n_rows) + n_diags + 1.0))
-        nxt = (
-            ((2 * n + 1) * q + s + q * k[:width]) * cur
-            - (q * q * root[n]) * root[n : n + width] * prev
-        ) / (root[n + 1] * root[n + 1 : n + 1 + width])
-        nxt, shift = np.frexp(nxt)
-        prev, cur, exp2 = np.ldexp(cur, -shift), nxt, exp2 + shift
+        nxt = ((2 * n + 1) * q + s + q * k[:width]) * cur
+        if qq:
+            nxt = nxt - (qq * root[n]) * root[n : n + width] * prev
+        nxt, shift = np.frexp(nxt / (root[n + 1] * root[n + 1 : n + 1 + width]))
+        if qq:
+            prev = np.ldexp(cur, -shift)
+        cur, exp2 = nxt, exp2 + shift
+
+
+def _pmf_walk(x: float, e: float):
+    """Yield ``P(0), P(1), ...`` of the displaced thermal state at one
+    squared displacement ``x``, without end.
+
+    Column 0 of :func:`_laguerre_columns` bit for bit, in Python floats:
+    the same start, operation order and power-of-two renormalization, at
+    about a twentieth of the cost per level of the one-row numpy walk.
+    """
+    q = e / (e + 1.0)
+    qq = q * q
+    s = x / (e + 1.0) ** 2
+    cur, exp2 = _diagonal_start(np.full((1, 1), x), e, np.arange(1))
+    cur, exp2 = float(cur[0, 0]), int(exp2[0, 0])
+    prev = root = 0.0
+    for n in itertools.count():
+        yield math.ldexp(cur, exp2)
+        root_next = math.sqrt(n + 1)
+        nxt = ((2 * n + 1) * q + s) * cur
+        if qq:
+            nxt = nxt - qq * root * root * prev
+        nxt, shift = math.frexp(nxt / (root_next * root_next))
+        if qq:  # math.ldexp raises where np.ldexp overflows to inf
+            prev = math.ldexp(cur, -shift)
+        cur, exp2, root = nxt, exp2 + shift, root_next
 
 
 def displaced_thermal_matrix(x, e_noise: float, dim: int) -> np.ndarray:
@@ -200,12 +233,12 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
     s = amp_sq + e_noise
     floor_dim = math.ceil(s + 8.0 * math.sqrt(s + 1.0)) + 4
     cap = floor_dim + 64
-    # one walk of the pmf recurrence (the diagonal of
-    # displaced_thermal_matrix, as in dephased_pmf), checked at each cap
-    levels = _laguerre_columns(np.array([amp_sq]), e_noise, cap << 15, 1)
+    # one _pmf_walk (the diagonal of displaced_thermal_matrix, as in
+    # dephased_pmf, in scalar floats), checked at each cap
+    levels = _pmf_walk(amp_sq, e_noise)
     pmf = []
     for _ in range(16):
-        pmf.extend(col[0, 0] for col in itertools.islice(levels, cap - len(pmf)))
+        pmf.extend(itertools.islice(levels, cap - len(pmf)))
         weighted = (np.arange(cap) + 1.0) * np.array(pmf)
         if weighted[-8:].sum() < 1e-3 * tail_tol:
             tail = np.cumsum(weighted[::-1])[::-1]
@@ -213,8 +246,8 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
             return max(floor_dim, int(hits[0]))
         cap *= 2
     raise ValueError(
-        f"no cutoff below {cap} meets tail_tol={tail_tol:.1e} for "
-        f"amp_sq={amp_sq}, e_noise={e_noise}"
+        f"no cutoff within the {len(pmf)} levels walked meets "
+        f"tail_tol={tail_tol:.1e} for amp_sq={amp_sq}, e_noise={e_noise}"
     )
 
 

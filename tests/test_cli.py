@@ -359,7 +359,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "exc",
         [
-            QuadratureError("quadrature did not reach tolerance", 1.0),
+            QuadratureError("quadrature did not reach tolerance", 1.0, 1e-14, 1e-14),
             PhotonTailError("photon-number tail did not close"),
         ],
     )

@@ -253,6 +253,19 @@ class TestExpectTotalDisplacement:
             )
         assert err.value.achieved > 0
 
+    def test_nonconvergence_reports_estimate_and_change(self):
+        # an integrand that is rounding noise around 1: the relative change
+        # between levels is large, the absolute one is at the 1e-16 floor
+        p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
+        with pytest.raises(QuadratureError) as err:
+            expect_total_displacement(
+                p, 4, lambda x: (1.0 + 1e-15 * np.sin(1e3 * x)) - 1.0, quad_tol=1e-6
+            )
+        e = err.value
+        assert 0.0 < e.change < 1e-14
+        assert e.achieved == e.change / abs(e.estimate)
+        assert f"last estimate {e.estimate:.6e}, absolute change {e.change:.3e}" in str(e)
+
 
 def _reference_on_quantile_map(params, m, f, n_panels=1024):
     """E[f(X)] on ``n_panels`` uniform 16-node Gauss-Legendre panels of the

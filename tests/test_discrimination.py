@@ -250,9 +250,7 @@ class TestPClassicalCoherent:
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    # subnormal amplitudes excluded: at n_b = 0 the pmf recurrence turns NaN
-    # there, and recommended_dim walks to its cap before it raises
-    amp_sq=st.one_of(st.just(0.0), st.floats(0.0, 40.0, allow_subnormal=False)),
+    amp_sq=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
     n_b=st.one_of(st.just(0.0), st.floats(1e-9, 3.0)),
 )
 @example(amp_sq=0.0102814142, n_b=0.238491066)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, gammaln
 
+from entsense import fockstates
 from entsense.discrimination import helstrom_numeric
 from entsense.fockstates import (
     DisplacedThermal,
@@ -315,6 +317,25 @@ class TestRecommendedDim:
         assert cutoff == _brute_force_cutoff(amp_sq, e)
         assert want is None or cutoff == want
 
+    @pytest.mark.parametrize(
+        "amp_sq, e, want",
+        [(0.002, 100.0, 2960), (0.1, 20.0, 573), (1.0, 20.0, 593), (10.0, 20.0, 693)],
+    )
+    def test_pins_benchmark_cutoffs(self, amp_sq, e, want):
+        assert recommended_dim(amp_sq, e) == want
+
+    def test_subnormal_amplitude_at_zero_noise(self):
+        # a step below 2^-1024 once left the dropped q^2 term as 0 * inf
+        assert recommended_dim(2.225e-309, 0.0) == recommended_dim(0.0, 0.0)
+        assert np.all(np.isfinite(dephased_pmf(2.225e-309, 0.0, np.arange(50))))
+
+    def test_failure_names_levels_walked(self, monkeypatch):
+        # a pmf whose tail never falls: 16 passes from cap 12 + 64 walk
+        # 76 * 2^15 levels, and the message names that many
+        monkeypatch.setattr(fockstates, "_pmf_walk", lambda x, e: itertools.repeat(0.5))
+        with pytest.raises(ValueError, match=f"within the {76 << 15} levels walked"):
+            recommended_dim(0.0, 0.0)
+
 
 def _brute_force_cutoff(amp_sq, e, tail_tol=1e-9):
     """recommended_dim's rule on one dephased_pmf call that reaches the
@@ -330,6 +351,19 @@ def _brute_force_cutoff(amp_sq, e, tail_tol=1e-9):
         cap *= 2
     tail = np.cumsum(weighted[::-1])[::-1]
     return max(floor_dim, int(np.nonzero(tail <= 0.5 * tail_tol)[0][0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    e=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+    n=st.integers(1, 1500),
+)
+@example(x=2.225e-309, e=0.0, n=20)
+def test_pmf_walk_equals_laguerre_column(x, e, n):
+    walk = list(itertools.islice(fockstates._pmf_walk(x, e), n))
+    column = [col[0, 0] for col in fockstates._laguerre_columns(np.array([x]), e, n, 1)]
+    assert walk == column
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
