@@ -507,18 +507,19 @@ def _fig7c_row(config, index, ns):
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One CSV schema: its columns, ``axes(config)`` whose product is the
-    grid (in row order), the row function, and the option names it reads."""
+    """One CSV schema: its columns, ``axes(config)`` (axis name -> values,
+    whose product is the grid in row order), the row function, and the
+    option names it reads."""
 
     columns: tuple[str, ...]
-    axes: Callable[[SweepConfig], tuple]
+    axes: Callable[[SweepConfig], dict]
     row: Callable
     options: tuple[str, ...] = ()
     help: str = ""
 
 
 def _channel_axes(config):
-    return config.ns, config.nb, config.kappa, config.m
+    return {"ns": config.ns, "nb": config.nb, "kappa": config.kappa, "m": config.m}
 
 
 _CHANNEL_COLUMNS = ("n_s", "n_b", "kappa", "m")
@@ -573,7 +574,7 @@ _SWEEPS = {
             "r_entangled_refined",
             "ratio_refined_classical",
         ),
-        lambda c: (c.ns, c.nb, c.kappa),
+        lambda c: {"ns": c.ns, "nb": c.nb, "kappa": c.kappa},
         _pattern_row,
         options=("subchannels",),
         help="pattern-classification exponents",
@@ -589,7 +590,7 @@ _SWEEPS = {
             "error_rate",
             "stderr",
         ),
-        lambda c: (c.options["alpha"],),
+        lambda c: {"alpha": c.options["alpha"]},
         _receiver_row,
         options=("receiver", "alpha", "slices", "trials", "noise_nb"),
         help="coherent-state receiver curves",
@@ -601,42 +602,42 @@ _M_GRID = tuple(int(round(v)) for v in np.geomspace(1e5, 1e7, 7))
 _PRESETS = {
     "2a": _Sweep(
         ("M", "P_c2d", "P_NG", "P_H_CS"),
-        lambda c: (_M_GRID,),
+        lambda c: {"M": _M_GRID},
         _fig2a_row,
     ),
     "2b": _Sweep(
         ("n_s", "n_b", "r_c2d_lower", "r_cs", "r_asymptotic", "advantage"),
-        lambda c: (_geomspace(1e-3, 10.0, 20),) * 2,
+        lambda c: dict.fromkeys(("n_s", "n_b"), _geomspace(1e-3, 10.0, 20)),
         _fig2b_row,
     ),
     "3a": _Sweep(
         ("n_s", "n_b", "m", "p_c2d", "p_cs_helstrom", "ratio"),
-        lambda c: (_geomspace(1e-2, 1.0, 5), _geomspace(0.1, 10.0, 5)),
+        lambda c: {"n_s": _geomspace(1e-2, 1.0, 5), "n_b": _geomspace(0.1, 10.0, 5)},
         _fig3a_row,
     ),
     "4a": _Sweep(
         ("n_s", "qfi_c2d", "qfi_cs", "qfi_upper", "ratio_c2d", "ratio_upper"),
-        lambda c: (_geomspace(1e-6, 1.0, 25),),
+        lambda c: {"n_s": _geomspace(1e-6, 1.0, 25)},
         _fig4a_row,
     ),
     "4b": _Sweep(
         ("n_s", "n_b", "ratio_c2d_cs"),
-        lambda c: (_geomspace(1e-2, 10.0, 20),) * 2,
+        lambda c: dict.fromkeys(("n_s", "n_b"), _geomspace(1e-2, 10.0, 20)),
         _fig4b_row,
     ),
     "5a": _Sweep(
         ("n_s", "c_classical", "c_ea", "chi_m1", "chi_m10000"),
-        lambda c: (_geomspace(1e-4, 1e-2, 9),),
+        lambda c: {"n_s": _geomspace(1e-4, 1e-2, 9)},
         _fig5a_row,
     ),
     "7a": _Sweep(
         ("M", "p_c2d", "dolinar_rate", "dolinar_stderr", "p_pcr", "p_opar", "p_homodyne"),
-        lambda c: (_M_GRID,),
+        lambda c: {"M": _M_GRID},
         _fig7a_row,
     ),
     "7c": _Sweep(
         ("n_s", "c_classical", "c_ea", "chi_m10000") + _RECEIVER_RATE_COLUMNS,
-        lambda c: (_geomspace(1e-4, 1e-2, 7),),
+        lambda c: {"n_s": _geomspace(1e-4, 1e-2, 7)},
         _fig7c_row,
     ),
 }
@@ -701,7 +702,7 @@ def _plan(config: SweepConfig):
     """Columns and ordered tasks ``(row, config, index, point)``: one task
     per point of the product of the table entry's axes."""
     sweep = _sweep(config)
-    grid = enumerate(itertools.product(*sweep.axes(config)))
+    grid = enumerate(itertools.product(*sweep.axes(config).values()))
     return sweep.columns, [(sweep.row, config, i, point) for i, point in grid]
 
 
@@ -759,17 +760,8 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _parameters(config: SweepConfig) -> dict[str, list]:
-    """The grids a run reads: a preset's own axes, keyed by its leading
-    column names, or a subcommand's channel grids."""
-    if config.subcommand == "figures":
-        sweep = _sweep(config)
-        return {col: list(axis) for col, axis in zip(sweep.columns, sweep.axes(config))}
-    return {
-        "ns": list(config.ns),
-        "nb": list(config.nb),
-        "kappa": list(config.kappa),
-        "m": list(config.m),
-    }
+    """The grids a run reads: its table entry's axes, by name."""
+    return {name: list(axis) for name, axis in _sweep(config).axes(config).items()}
 
 
 def _write_sidecar(config: SweepConfig, columns, n_rows: int, achieved) -> None:

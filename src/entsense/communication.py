@@ -16,9 +16,14 @@ import numpy as np
 from scipy.special import lambertw, ndtr
 
 from . import EntsenseError, _check_inputs
-from .conversion import ConversionParams, conversion_params, expect_total_displacement
-from .discrimination import _NODE_BLOCK_BYTES, _golden_section_min
-from .fockstates import bpsk_mixture_matrix, dephased_pmf, recommended_dim
+from .conversion import conversion_params, expect_total_displacement
+from .discrimination import _golden_section_min
+from .fockstates import (
+    _NODE_BLOCK_BYTES,
+    bpsk_mixture_matrix,
+    dephased_pmf,
+    recommended_dim,
+)
 from .gaussian import ChannelParams
 from .metrology import opar_optimal_gain
 from .receivers import _opar_counts, _pcr_counts
@@ -127,14 +132,14 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     mean ``x``: Shannon entropy of the displaced-thermal photon-number pmf
     minus ``g(E)``, in bits.
 
-    The pmf is summed until its cumulative mass exceeds ``1 - tail_mass``,
-    or until its own geometric decay bounds the mass past the cutoff below
-    ``tail_mass`` (the rounded sum alone can stall a few 1e-15 short of 1).
-    ``x`` is a scalar (returns a float) or a 1-D array (returns one value
-    per entry, each bit-identical to the scalar call, except where a row's
-    sum closes only past the scalar call's cutoff: the scalar call then cuts
-    that row on its decay, and the two cuts differ by less than
-    ``tail_mass`` of probability).  A stack shares one
+    The pmf is log-concave in ``n`` (a Poisson mixture over a noncentral
+    chi-square intensity), so past its mode the mass beyond level ``n`` is
+    at most ``p[n] r / (1 - r)`` with ``r = p[n] / p[n-1]``.  Each row is
+    cut after the first level past its mode where that bound is at most
+    ``tail_mass``, i.e. ``p[n]^2 <= tail_mass (p[n-1] - p[n])``.  The cut
+    does not depend on how far the pmf was computed, so ``x`` is a scalar
+    (returns a float) or a 1-D array (returns one value per entry, each
+    bit-identical to the scalar call).  A stack shares one
     :func:`dephased_pmf` recurrence per block of rows, with the cutoff sized
     from its largest entry; rows whose tail has not closed are redone at
     twice the cutoff.  A block holds at most 2 MB of pmf, or one row when a
@@ -143,7 +148,7 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     Raises
     ------
     PhotonTailError
-        If some row keeps more than ``tail_mass`` beyond ``10**7`` levels.
+        If some row's tail has not closed within ``10**7`` levels.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -163,28 +168,14 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
         for lo in range(0, todo.size, rows):
             idx = todo[lo : lo + rows]
             pmf = dephased_pmf(batch[idx], e_noise, np.arange(n_hi))
-            cum = np.cumsum(pmf, axis=1)
-            closed = 1.0 - cum[:, -1] <= tail_mass
+            tail = pmf[:, 1:] ** 2 <= tail_mass * (pmf[:, :-1] - pmf[:, 1:])
+            tail &= np.arange(n_hi - 1) >= np.argmax(pmf, axis=1)[:, None]
+            closed = tail.any(axis=1)
+            cuts = np.argmax(tail, axis=1) + 2
             for i in np.flatnonzero(closed):
-                cut = int(np.searchsorted(cum[i], 1.0 - tail_mass)) + 1
-                entropy = _shannon_bits(pmf[i, :cut])
+                entropy = _shannon_bits(pmf[i, : cuts[i]])
                 out[idx[i]] = max(entropy - g_e, 0.0)
-            # 1 - cum rounds to a few 1e-15, so a tail below that never
-            # closes above.  The pmf is log-concave in n (a Poisson mixture
-            # over a noncentral chi-square intensity), so past its mode the
-            # mass beyond level n is at most p[n] r / (1 - r), r = p[n] / p[n-1].
-            # Such a row (or one that decays to zero) is cut after the first
-            # level where that bound is below tail_mass, whatever the cutoff.
-            open_rows = ~closed
-            for i in np.flatnonzero(open_rows):
-                p = pmf[i]
-                bounded = (p[1:] < p[:-1]) & (p[1:] ** 2 <= tail_mass * (p[:-1] - p[1:]))
-                if bounded[-1] or p[-1] == 0.0:
-                    bounded[: np.argmax(p)] = False
-                    cut = int(np.argmax(bounded)) + 2
-                    out[idx[i]] = max(_shannon_bits(p[:cut]) - g_e, 0.0)
-                    open_rows[i] = False
-            still_open.append(idx[open_rows])
+            still_open.append(idx[~closed])
         todo = np.concatenate(still_open)
         if todo.size and n_hi > _MAX_PHOTON_LEVELS:
             raise PhotonTailError("photon-number tail did not close")

@@ -112,14 +112,6 @@ class ConversionOutcome:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total_amp_sq", float(self.total_amp_sq))
 
-    def to_json(self) -> dict:
-        return {
-            "readouts": [[z.real, z.imag] for z in self.readouts],
-            "displacements": [[z.real, z.imag] for z in self.displacements],
-            "total_amp_sq": self.total_amp_sq,
-            "weights": [[z.real, z.imag] for z in self.weights],
-        }
-
 
 def conversion_params(n_s: float, ch: ChannelParams) -> ConversionParams:
     """Conversion parameters for source brightness ``n_s`` through channel ``ch``."""

@@ -27,8 +27,10 @@ from .conversion import (
     expect_total_displacement,
 )
 from .fockstates import (
+    _NODE_BLOCK_BYTES,
     DisplacedThermal,
     FockMatrix,
+    _check_truncation,
     displaced_thermal_matrix,
     recommended_dim,
     to_fock,
@@ -52,13 +54,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Upper bound on the bytes of one stack of per-node arrays (displaced thermal
-# matrices, holevo_cpsk_conditional's pmf rows); the stack lives in every
-# forked CLI worker.
-_NODE_BLOCK_BYTES = 2**21
-# Largest trace deficit of a displaced node matrix, the FockMatrix default.
-_NODE_TAIL_TOL = 1e-9
 
 
 def _golden_section_min(
@@ -138,13 +133,9 @@ def _thermal_helstrom_errors(
     def errors(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape)
         for lo in range(0, x.size, block):
-            mats = displaced_thermal_matrix(x[lo : lo + block], e_noise, dim)
-            deficit = 1.0 - np.trace(mats, axis1=1, axis2=2).min()
-            if deficit > _NODE_TAIL_TOL:
-                raise ValueError(
-                    f"dim={dim} leaves a node trace deficit of {deficit:.3e} "
-                    f"> {_NODE_TAIL_TOL:.1e}"
-                )
+            nodes = x[lo : lo + block]
+            mats = displaced_thermal_matrix(nodes, e_noise, dim)
+            _check_truncation(mats, nodes.max(), e_noise)
             out[lo : lo + block] = _helstrom_error(rho0, mats, 0.5)
         return out
 
@@ -300,11 +291,7 @@ def _coherent_helstrom_error(amp_sq: float, n_b: float) -> float:
     """
     dim = recommended_dim(amp_sq, n_b)
     rho = displaced_thermal_matrix(0.25 * amp_sq, n_b, dim)
-    deficit = 1.0 - np.trace(rho)
-    if deficit > _NODE_TAIL_TOL:
-        raise ValueError(
-            f"dim={dim} leaves a trace deficit of {deficit:.3e} > {_NODE_TAIL_TOL:.1e}"
-        )
+    _check_truncation(rho, amp_sq, n_b)
     sigma = np.linalg.svd(rho[0::2, 1::2], compute_uv=False)
     return max(0.5 - float(np.sum(sigma)), 0.0)
 
@@ -312,12 +299,16 @@ def _coherent_helstrom_error(amp_sq: float, n_b: float) -> float:
 def nair_gu_bound(n_s: float, ch: ChannelParams, m: int) -> float:
     """Lower bound on any target-detection error probability.
 
-    ``exp(-beta m n_s) / 4`` with ``beta = -ln(1 - kappa/(n_b+1))``.
+    ``exp(-beta m n_s) / 4`` with ``beta = -ln(1 - kappa/(n_b+1))``; its
+    limit 0 on the lossless, noiseless channel (``kappa = n_b + 1``).
     """
     _check_inputs(n_s, m)
     if n_s == 0.0 or ch.kappa == 0.0:
         return 0.25
-    beta = -math.log1p(-ch.kappa / (ch.n_b + 1.0))
+    ratio = ch.kappa / (ch.n_b + 1.0)
+    if ratio == 1.0:
+        return 0.0
+    beta = -math.log1p(-ratio)
     return 0.25 * math.exp(-beta * m * n_s)
 
 

@@ -29,6 +29,13 @@ __all__ = [
     "to_fock",
 ]
 
+# Upper bound on the bytes of one stack of per-node arrays (displaced thermal
+# matrices, holevo_cpsk_conditional's pmf rows); the stack lives in every
+# forked CLI worker.
+_NODE_BLOCK_BYTES = 2**21
+# Largest trace deficit a truncated Fock matrix may leave by default.
+_TAIL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DisplacedThermal:
@@ -68,7 +75,7 @@ class FockMatrix:
 
     dim: int
     entries: np.ndarray
-    tail_tol: float = field(default=1e-9)
+    tail_tol: float = field(default=_TAIL_TOL)
 
     def __post_init__(self):
         object.__setattr__(self, "dim", int(self.dim))
@@ -202,14 +209,19 @@ def displaced_thermal_matrix(x, e_noise: float, dim: int) -> np.ndarray:
     return rho if xs.ndim else rho[0]
 
 
-def _truncated(rho: np.ndarray, x: float, e: float, tail_tol: float) -> FockMatrix:
-    deficit = 1.0 - float(np.trace(rho).real)
+def _check_truncation(
+    rho: np.ndarray, amp_sq: float, e_noise: float, tail_tol: float = _TAIL_TOL
+) -> None:
+    """Raise ``ValueError`` if the Fock matrix ``rho``, or any matrix of a
+    stack of shape ``(..., dim, dim)``, loses more than ``tail_tol`` of its
+    trace; the message names the cutoff ``recommended_dim(amp_sq, e_noise)``.
+    """
+    deficit = 1.0 - float(np.min(np.trace(rho, axis1=-2, axis2=-1).real))
     if deficit > tail_tol:
         raise ValueError(
-            f"dim={len(rho)} leaves a trace deficit of {deficit:.3e} > {tail_tol:.1e}; "
-            f"need dim >= {recommended_dim(x, e, tail_tol)}"
+            f"dim={rho.shape[-1]} leaves a trace deficit of {deficit:.3e} > "
+            f"{tail_tol:.1e}; need dim >= {recommended_dim(amp_sq, e_noise, tail_tol)}"
         )
-    return FockMatrix(len(rho), rho, tail_tol)
 
 
 def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> int:
@@ -251,7 +263,9 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
     )
 
 
-def to_fock(state: DisplacedThermal, dim: int, tail_tol: float = 1e-9) -> FockMatrix:
+def to_fock(
+    state: DisplacedThermal, dim: int, tail_tol: float = _TAIL_TOL
+) -> FockMatrix:
     """Density matrix of a displaced thermal state on ``dim`` Fock levels.
 
     The real matrix of :func:`displaced_thermal_matrix` at ``|alpha|^2``,
@@ -284,7 +298,8 @@ def to_fock(state: DisplacedThermal, dim: int, tail_tol: float = 1e-9) -> FockMa
     elif alpha.real < 0.0:  # phase (-1)^{m-n}
         rho[1::2, ::2] *= -1.0
         rho[::2, 1::2] *= -1.0
-    return _truncated(rho, state.amp_sq, state.e_noise, tail_tol)
+    _check_truncation(rho, state.amp_sq, state.e_noise, tail_tol)
+    return FockMatrix(dim, rho, tail_tol)
 
 
 def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
@@ -348,7 +363,7 @@ def photon_pmf(state: DisplacedThermal, n) -> float | np.ndarray:
 
 
 def bpsk_mixture_matrix(
-    x: float, e_noise: float, dim: int, tail_tol: float = 1e-9
+    x: float, e_noise: float, dim: int, tail_tol: float = _TAIL_TOL
 ) -> FockMatrix:
     """Density matrix of the equal mixture of ``+sqrt(x)`` and ``-sqrt(x)``
     displaced thermal states.
@@ -362,7 +377,7 @@ def bpsk_mixture_matrix(
     x : float
         Squared displacement magnitude, ``>= 0``.
     e_noise : float
-        Thermal occupation, strictly positive.
+        Thermal occupation, ``>= 0``; 0 gives the coherent-state mixture.
     dim : int
         Cutoff dimension, at least 2.
     tail_tol : float
@@ -375,11 +390,10 @@ def bpsk_mixture_matrix(
         trace; the message names the recommended dimension.
     """
     dim = int(dim)
-    if not e_noise > 0:
-        raise ValueError("e_noise must be positive")
     if dim < 2:
         raise ValueError("dim must be at least 2")
     rho = displaced_thermal_matrix(x, e_noise, dim)
     rho[1::2, ::2] = 0.0
     rho[::2, 1::2] = 0.0
-    return _truncated(rho, x, e_noise, tail_tol)
+    _check_truncation(rho, x, e_noise, tail_tol)
+    return FockMatrix(dim, rho, tail_tol)

@@ -13,19 +13,15 @@ reported values are per the stated mode count ``m``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _check_inputs
-from .conversion import conversion_params
 from .gaussian import ChannelParams, GaussianState
 from .receivers import _opar_counts, _pcr_counts
 
 __all__ = [
-    "FisherReport",
     "fi_homodyne",
     "fi_opar",
     "fi_pcr",
@@ -38,19 +34,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """A Fisher-information value with the asymptotic assumptions invoked."""
-
-    value: float
-    regime_flags: tuple = ()
-
-    def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError("Fisher information must be nonnegative")
-        object.__setattr__(self, "regime_flags", tuple(self.regime_flags))
 
 
 def _to_annihilation(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:

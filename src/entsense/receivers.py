@@ -24,7 +24,6 @@ from .special import RngStream
 
 __all__ = [
     "DolinarConfig",
-    "ThresholdDetector",
     "displaced_thermal_sample_photons",
     "dolinar_simulate",
     "opar_pe",
@@ -74,50 +73,6 @@ class DolinarConfig:
         object.__setattr__(self, "slices", int(self.slices))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "noise_nb", float(self.noise_nb))
-
-
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """Integer-threshold decision rule on a photon-count readout.
-
-    Decides hypothesis 0 when the count falls below ``threshold`` and
-    hypothesis 1 otherwise.
-    """
-
-    threshold: int
-
-    def __post_init__(self):
-        if int(self.threshold) != self.threshold:
-            raise ValueError("threshold must be an integer")
-        object.__setattr__(self, "threshold", int(self.threshold))
-
-    @classmethod
-    def from_moments(
-        cls,
-        mu0: float,
-        sigma0: float,
-        mu1: float,
-        sigma1: float,
-        m: int,
-    ) -> "ThresholdDetector":
-        """Near-optimum threshold for Gaussian count statistics.
-
-        For per-copy means ``mu0 < mu1`` and standard deviations
-        ``sigma0, sigma1`` over ``m`` copies, places the cut at
-        ``ceil(m (sigma1 mu0 + sigma0 mu1) / (sigma0 + sigma1))``, the
-        point where the two likelihoods weighted by their widths cross.
-        """
-        if sigma0 <= 0 or sigma1 <= 0:
-            raise ValueError("sigma0 and sigma1 must be positive")
-        _check_inputs(m=m)
-        cut = m * (sigma1 * mu0 + sigma0 * mu1) / (sigma0 + sigma1)
-        return cls(threshold=math.ceil(cut))
-
-    def decide(self, count):
-        """Hypothesis index (0 or 1) for ``count`` (scalar or array)."""
-        if np.isscalar(count):
-            return 0 if count < self.threshold else 1
-        return np.where(np.asarray(count) < self.threshold, 0, 1)
 
 
 def pe_homodyne(alpha_r: float) -> float:

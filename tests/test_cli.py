@@ -268,6 +268,28 @@ class TestWorkerCountIndependence:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, axes",
+    [
+        (
+            ["pattern", "--ns", "1e-4", "--nb", "1e4"],
+            {"ns": [1e-4], "nb": [1e4], "kappa": [0.01]},
+        ),
+        (
+            ["receiver-sim", "--receiver", "kennedy", "--alpha", "1,2j"],
+            {"alpha": [[1.0, 0.0], [0.0, 2.0]]},
+        ),
+    ],
+)
+def test_sidecar_records_subcommand_axes(tmp_path, argv, axes):
+    # only the grids the run reads: pattern has no mode count, and
+    # receiver-sim's grid is its amplitudes
+    out = tmp_path / "run.csv"
+    assert main(argv + ["--out", str(out), "--threads", "1"]) == 0
+    meta = json.loads((tmp_path / "run.csv.json").read_text())
+    assert meta["parameters"] == axes
+
+
 class TestReceiverClosedForms:
     @pytest.mark.parametrize(
         "receiver, alpha, expected",

@@ -31,6 +31,13 @@ from entsense.gaussian import ChannelParams
 
 FIG5 = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
 
+# (x, E) from a fixed generator: x in [0, 40], E = 0 or in [1e-3, 3]
+_RNG = np.random.default_rng(20261019)
+RANDOM_XE = [(x, 0.0) for x in _RNG.uniform(0.0, 40.0, 3).tolist()]
+RANDOM_XE += zip(
+    _RNG.uniform(0.0, 40.0, 3).tolist(), (10.0 ** _RNG.uniform(-3.0, 0.5, 3)).tolist()
+)
+
 
 class TestGEntropy:
     def test_vacuum(self):
@@ -139,7 +146,8 @@ class TestHolevoCpskConditional:
 
     @pytest.mark.parametrize(
         "xs, e",
-        [(16.8, 0.0), (6.3, 0.0), (3.2, 0.1), (np.array([16.8, 300.0]), 0.0)],
+        [(16.8, 0.0), (6.3, 0.0), (3.2, 0.1), (np.array([16.8, 300.0]), 0.0)]
+        + RANDOM_XE,
     )
     def test_tail_closes_below_sum_rounding(self, monkeypatch, xs, e):
         # 1 - cumsum of these pmfs stalls a few 1e-15 above 1e-15, so their

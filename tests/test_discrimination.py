@@ -274,6 +274,10 @@ class TestAnalyticBounds:
     def test_nair_gu_no_target(self):
         assert nair_gu_bound(0.001, ChannelParams(0.0, 0.0, 20.0), 100) == 0.25
 
+    def test_nair_gu_lossless_noiseless_limit(self):
+        # kappa = n_b + 1 makes beta infinite: the bound's limit is 0
+        assert nair_gu_bound(10.0, ChannelParams(1.0, 0.0, 0.0), 1) == 0.0
+
     def test_nair_gu_exponent_close_to_conversion(self):
         beta = -math.log1p(-0.01 / 21.0)
         per_copy = beta * 0.001

@@ -257,6 +257,23 @@ def test_stacked_pmf_rows_equal_scalar_calls(xs, e, top):
         assert np.array_equal(row, dephased_pmf(x, e, n))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+    e=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+)
+def test_pmf_is_log_concave(x, e):
+    # p[n+1]/p[n] never rises: the premise of holevo_cpsk_conditional's tail
+    # cut.  Checked wherever three neighbours are normal floats.
+    std = math.sqrt(x * (2 * e + 1) + e * (e + 1))
+    p = dephased_pmf(x, e, np.arange(int(x + e + 12 * std) + 30))
+    normal = p >= np.finfo(float).tiny
+    both = normal[:-2] & normal[1:-1] & normal[2:]
+    falls_in = p[1:-1][both] / p[:-2][both]
+    falls_out = p[2:][both] / p[1:-1][both]
+    assert np.all(falls_out <= falls_in * (1.0 + 1e-12))
+
+
 class TestBpskMixture:
     def test_thermal_at_x_zero(self):
         e = 0.4
@@ -285,9 +302,14 @@ class TestBpskMixture:
         fm = bpsk_mixture_matrix(x, e, recommended_dim(x, e))
         assert fm.trace_deficit < fm.tail_tol
 
-    def test_requires_positive_noise(self):
-        with pytest.raises(ValueError, match="positive"):
-            bpsk_mixture_matrix(0.5, 0.0, 8)
+    def test_noiseless_mixture_is_two_level(self):
+        # (|a><a| + |-a><-a|)/2 has eigenvalues (1 +- e^{-2|a|^2})/2
+        x = 0.7
+        eigs = np.linalg.eigvalsh(bpsk_mixture_matrix(x, 0.0, 40).entries)
+        eigs = eigs[eigs > 0]
+        p = 0.5 * (1.0 + math.exp(-2.0 * x))
+        h2 = -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+        assert abs(-np.sum(eigs * np.log2(eigs)) - h2) < 1e-14
 
     def test_dimension_too_small(self):
         with pytest.raises(ValueError, match="need dim >= "):

@@ -98,9 +98,6 @@ CALLS = {
     ),
     "receivers.opar_pe": lambda n_s=NS, m=M: receivers.opar_pe(n_s, CH, m),
     "receivers.pcr_pe": lambda n_s=NS, m=M: receivers.pcr_pe(n_s, CH, m),
-    "receivers.ThresholdDetector.from_moments": (
-        lambda m=M: receivers.ThresholdDetector.from_moments(1.0, 1.0, 2.0, 1.0, m)
-    ),
 }
 
 

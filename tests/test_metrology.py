@@ -10,7 +10,6 @@ from scipy.optimize import minimize_scalar
 from entsense.conversion import conversion_params, expect_total_displacement
 from entsense.gaussian import ChannelParams, GaussianState, apply_channel, tmsv
 from entsense.metrology import (
-    FisherReport,
     fi_homodyne,
     fi_opar,
     fi_pcr,
@@ -260,17 +259,6 @@ class TestFiPcr:
     def test_unit_gain_rejected(self):
         with pytest.raises(ValueError, match="gain"):
             fi_pcr(0.01, FIG2A, 1, 0.7, gain=1.0)
-
-
-class TestFisherReport:
-    def test_fields(self):
-        rep = FisherReport(1.5, ["weak_signal"])
-        assert rep.value == 1.5
-        assert rep.regime_flags == ("weak_signal",)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FisherReport(-0.1)
 
 
 class TestOrderingInvariant:

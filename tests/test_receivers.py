@@ -21,7 +21,6 @@ from entsense.gaussian import ChannelParams
 from entsense.metrology import fi_opar, fi_pcr
 from entsense.receivers import (
     DolinarConfig,
-    ThresholdDetector,
     displaced_thermal_sample_photons,
     dolinar_simulate,
     opar_pe,
@@ -64,33 +63,6 @@ class TestDolinarConfig:
         assert cfg.slices == 3 and isinstance(cfg.slices, int)
         assert cfg.trials == 10 and isinstance(cfg.trials, int)
         assert cfg.noise_nb == 0.0
-
-
-class TestThresholdDetector:
-    def test_from_moments_ceiling(self):
-        # cut = 10 (1*1 + 2*3) / (2 + 1) = 23.33... -> 24
-        det = ThresholdDetector.from_moments(1.0, 2.0, 3.0, 1.0, 10)
-        assert det.threshold == 24
-
-    def test_exact_integer_cut_is_kept(self):
-        det = ThresholdDetector.from_moments(1.0, 1.0, 3.0, 1.0, 5)
-        assert det.threshold == 10
-
-    def test_decide(self):
-        det = ThresholdDetector(threshold=7)
-        assert det.decide(6) == 0
-        assert det.decide(7) == 1
-        np.testing.assert_array_equal(
-            det.decide(np.array([0, 6, 7, 30])), [0, 0, 1, 1]
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="integer"):
-            ThresholdDetector(threshold=2.5)
-        with pytest.raises(ValueError, match="sigma"):
-            ThresholdDetector.from_moments(1.0, 0.0, 3.0, 1.0, 5)
-        with pytest.raises(ValueError, match="m"):
-            ThresholdDetector.from_moments(1.0, 1.0, 3.0, 1.0, 0)
 
 
 class TestClosedForms:
