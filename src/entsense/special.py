@@ -1,8 +1,10 @@
-"""Distributions and random streams.
+"""Distributions, random streams and the confluent hypergeometric function.
 
 Implements the scaled chi-square density and sampler for total-displacement
 magnitudes and a counter-based splittable random-stream abstraction for
-reproducible Monte-Carlo runs.
+reproducible Monte-Carlo runs.  1F1 is a thin wrapper over
+:mod:`scipy.special` that rejects poles and non-finite arguments with
+``ValueError`` and overflow with ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp1f1 as _scipy_hyp1f1
 
 from . import _check_inputs
 
 __all__ = [
     "RngStream",
+    "hyp1f1",
     "scaled_chi2_pdf",
     "sample_scaled_chi2",
 ]
@@ -67,6 +71,39 @@ class RngStream:
             (int(self.root_seed), int(self.stream_index), int(trial))
         )
         return np.random.Generator(np.random.Philox(seq))
+
+
+def hyp1f1(a: float, b: float, z: float) -> float:
+    """Confluent hypergeometric function 1F1(a; b; z) for finite real
+    scalars, from :func:`scipy.special.hyp1f1`.
+
+    Raises
+    ------
+    ValueError
+        If an argument is not finite, or if ``b`` is a nonpositive integer
+        ``-n``, where 1F1 has a pole.  The regularized function
+        1F1(a; b; z) / Gamma(b) stays finite there:
+        ``(a)_{n+1} z^{n+1} / (n+1)!`` times ``hyp1f1(a + n + 1, n + 2, z)``
+        (DLMF 13.2.5).
+    OverflowError
+        If the result exceeds the double-precision range; the caller must
+        rescale (e.g. work with logarithms).
+    """
+    a = float(a)
+    b = float(b)
+    z = float(z)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise ValueError("a, b and z must be finite")
+    if b <= 0 and b == round(b):
+        raise ValueError(
+            "b must not be a nonpositive integer: 1F1 has a pole there"
+        )
+    value = float(_scipy_hyp1f1(a, b, z))
+    if math.isinf(value):
+        raise OverflowError(
+            f"1F1({a}, {b}, {z}) overflows double precision; rescale in log space"
+        )
+    return value
 
 
 def scaled_chi2_pdf(x, m: int, xi: float):

@@ -1,12 +1,88 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from entsense.special import RngStream, sample_scaled_chi2, scaled_chi2_pdf
+from entsense.special import RngStream, hyp1f1, sample_scaled_chi2, scaled_chi2_pdf
+
+
+# Frozen oracle values (exact rational / brute-force series).
+L3_1_5 = -0.6875  # L_3(1.5) = (6 - 18x + 9x^2 - x^3) / 6, exact
+HYP_HALF_2_1 = 1.3281918274866849  # 200-term series
+
+
+class TestHyp1f1:
+    def test_z_zero(self):
+        assert hyp1f1(0.3, 1.7, 0.0) == 1.0
+
+    def test_terminating_equals_laguerre(self):
+        assert_allclose(hyp1f1(-3, 1, 1.5), L3_1_5, rtol=1e-13)
+
+    def test_series_oracle(self):
+        assert_allclose(hyp1f1(0.5, 2.0, 1.0), HYP_HALF_2_1, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, z, want",
+        [
+            (0.5, 2.0, -100.0, 0.11255475054034959),  # mpmath
+            (1.3, 2.7, 85.0, 2.8021494699524978e34),  # mpmath
+        ],
+    )
+    def test_large_argument_branches(self, a, b, z, want):
+        assert_allclose(hyp1f1(a, b, z), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.5, 2.75])
+    @pytest.mark.parametrize("b", [0.6, 1.0, 3.5])
+    @pytest.mark.parametrize("z", [-80.0, -31.0, -12.0, -0.5, 4.0, 29.0, 45.0])
+    def test_kummer_transform(self, a, b, z):
+        lhs = hyp1f1(a, b, z)
+        rhs = math.exp(z) * hyp1f1(b - a, b, -z)
+        assert_allclose(lhs, rhs, rtol=1e-9)
+
+    def test_matches_scipy_on_grid(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = rng.uniform(-4, 4)
+            b = rng.uniform(0.1, 6)
+            z = rng.uniform(-60, 60)
+            want = scipy.special.hyp1f1(a, b, z)
+            assert_allclose(hyp1f1(a, b, z), want, rtol=2e-9, atol=1e-300)
+
+    def test_nonpositive_integer_b_rejected(self):
+        with pytest.raises(ValueError):
+            hyp1f1(0.5, -2, 1.0)
+
+    def test_overflow_signaled(self):
+        with pytest.raises(OverflowError):
+            hyp1f1(0.5, 1.0, 2000.0)
+
+
+class TestMpmathOracle:
+    # 40-digit mpmath values, independent of scipy.  The two fixed points sit
+    # just past z = 60, where a Taylor/asymptotic crossover would show.
+    def test_hyp1f1_and_laguerre(self):
+        rng = np.random.default_rng(20261018)
+        points = [(-9.9, 2.7, 61.0), (-9.87, 2.73, 66.3)]
+        points += [
+            (rng.uniform(-10, 10), rng.uniform(0.1, 10), rng.uniform(-300, 300))
+            for _ in range(200)
+        ]
+        with mpmath.workdps(40):
+            for a, b, z in points:
+                want = float(mpmath.hyp1f1(a, b, z))
+                assert_allclose(hyp1f1(a, b, z), want, rtol=1e-12, atol=0)
+            # Terminating series: 1F1(-n; 1; x) = L_n(x).
+            x = np.linspace(-50, 50, 41)
+            for n in (2, 17, 60, 199, 500):
+                want = np.array([float(mpmath.laguerre(n, 0, xi)) for xi in x])
+                got = np.array([hyp1f1(-n, 1, xi) for xi in x])
+                err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+                assert np.max(err) <= 1e-12, (n, np.max(err))
 
 
 class TestScaledChi2Pdf:
