@@ -706,9 +706,21 @@ def _plan(config: SweepConfig):
     return sweep.columns, [(sweep.row, config, i, point) for i, point in grid]
 
 
+class _PointError(Exception):
+    """A grid point's runtime failure: its task index and message."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(index, message)
+        self.index = index
+        self.message = message
+
+
 def _run_task(task):
     row, config, index, point = task
-    return row(config, index, *point)
+    try:
+        return row(config, index, *point)
+    except (ValueError, EntsenseError) as exc:
+        raise _PointError(index, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +798,11 @@ def _write_sidecar(config: SweepConfig, columns, n_rows: int, achieved) -> None:
         fh.write("\n")
 
 
-def _emit_error(message: str, code: int) -> int:
-    print(json.dumps({"error": str(message), "exit_status": code}), file=sys.stderr)
+def _emit_error(message: str, code: int, point: dict | None = None) -> int:
+    payload = {"error": str(message), "exit_status": code}
+    if point is not None:
+        payload["point"] = point
+    print(json.dumps(payload), file=sys.stderr)
     return code
 
 
@@ -796,8 +811,12 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
 
     Returns the process exit status: 0 on success, 1 when a grid point or
     the output path fails at runtime, including a quadrature that misses its
-    tolerance and a photon-number tail that never closes.  Configuration
-    errors are raised by the :class:`SweepConfig` constructor, not here.
+    tolerance and a photon-number tail that never closes.  A failing grid
+    point's error line names it under ``"point"``: its index in grid order
+    and its axis values, keyed as in the sidecar's ``parameters``.  It is
+    the first failing point in grid order at any worker count.
+    Configuration errors are raised by the :class:`SweepConfig`
+    constructor, not here.
     """
     if not isinstance(config, SweepConfig):
         raise TypeError("config must be a SweepConfig")
@@ -809,6 +828,10 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
         achieved = [a for _, a in results if a is not None]
         _write_csv(config.output_path, columns, rows)
         _write_sidecar(config, columns, len(rows), achieved)
+    except _PointError as exc:
+        names = _sweep(config).axes(config)
+        point = {"index": exc.index, **dict(zip(names, tasks[exc.index][3]))}
+        return _emit_error(exc.message, 1, point)
     except (ValueError, OSError, EntsenseError) as exc:
         return _emit_error(str(exc), 1)
     return 0

@@ -399,6 +399,34 @@ class TestExitCodes:
         assert err["exit_status"] == 1
         assert str(exc) in err["error"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "grid, point",
+        [
+            # opar_optimal_gain is undefined where n_b + kappa n_s <= n_s:
+            # here at every point, so the first one is named
+            (
+                ["--ns", "1e-3,0.5", "--nb", "0"],
+                {"index": 0, "ns": 1e-3, "nb": 0.0, "kappa": 1.0, "m": 1},
+            ),
+            (
+                ["--ns", "0.5", "--nb", "1,0"],
+                {"index": 1, "ns": 0.5, "nb": 0.0, "kappa": 1.0, "m": 1},
+            ),
+        ],
+    )
+    def test_failing_point_is_named(self, tmp_path, capsys, grid, point, threads):
+        out = tmp_path / "comm.csv"
+        args = ["comm", *grid, "--kappa", "1", "--m", "1", "--out", str(out)]
+        assert main([*args, "--threads", threads]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_status"] == 1
+        assert "optimal gain undefined" in err["error"]
+        assert err["point"] == point
+        assert not out.exists()
+
     def test_run_requires_config_object(self):
         with pytest.raises(TypeError):
             run({"subcommand": "pattern"})
@@ -694,6 +722,23 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and (tmp_path / "sub.csv.json").exists()
+
+    def test_preset_2a_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # P_H_CS solves on the band, which calls no threaded BLAS; P_c2d's
+        # stacked eigensolves give the same bytes at one and two threads
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "entsense.cli", "figures", "--which", "2a"]
+                + ["--out", str(out), "--threads", "1"],
+                capture_output=True,
+                text=True,
+                env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=blas),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_usage_error_returncode(self, tmp_path):
         proc = subprocess.run(

@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose
 from entsense.conversion import conversion_params
 from entsense.discrimination import (
     PatternHypothesis,
+    _BAND_SOLVE_RATIO,
     _coherent_helstrom_error,
     _helstrom_error,
+    _parity_block,
     c2d_exponent_bounds,
     helstrom_numeric,
     lemma1_upper_bound,
@@ -24,6 +26,7 @@ from entsense.discrimination import (
 from entsense.fockstates import (
     DisplacedThermal,
     FockMatrix,
+    _displaced_thermal_band,
     displaced_thermal_matrix,
     recommended_dim,
     to_fock,
@@ -268,6 +271,55 @@ def test_parity_split_matches_validated_helstrom(amp_sq, n_b):
     dropped = 1.0 - np.trace(displaced_thermal_matrix(amp_sq, n_b, dim))
     assert 0.0 <= got <= 0.5
     assert abs(got - want) <= 1e-12 + dropped
+
+
+@pytest.mark.parametrize(
+    "amp_sq, n_b",
+    [
+        (0.1, 20.0),  # the `detect` benchmark's Fig. 2a points, cutoffs 573-693
+        (1.0, 20.0),
+        (10.0, 20.0),
+        (56.8, 10.0),  # the 3a threshold at n_b = 10: width 28 at cutoff 571
+        (1.0, 100.0),  # cutoff 2,988
+    ],
+)
+def test_band_solve_matches_dense_svd(amp_sq, n_b):
+    # the oracle is the dense route: the SVD of the full matrix's block
+    dim = recommended_dim(amp_sq, n_b)
+    band = _displaced_thermal_band(0.25 * amp_sq, n_b, dim)
+    assert _BAND_SOLVE_RATIO * (len(band) // 2 * 2) <= dim  # the band side
+    rho = displaced_thermal_matrix(0.25 * amp_sq, n_b, dim)
+    want = float(np.sum(np.linalg.svd(rho[0::2, 1::2], compute_uv=False)))
+    assert abs(_coherent_helstrom_error(amp_sq, n_b) - (0.5 - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("x, e, dim", [(75.0, 0.1, 445), (3.0, 0.5, 20), (0.7, 2.0, 31)])
+def test_parity_block_is_the_dense_block_on_the_band(x, e, dim):
+    band = _displaced_thermal_band(x, e, dim)
+    rho = displaced_thermal_matrix(x, e, dim)
+    offset = np.subtract.outer(np.arange(dim), np.arange(dim))
+    kept = np.where(np.abs(offset) < len(band), rho, 0.0)
+    assert np.array_equal(_parity_block(band), kept[0::2, 1::2])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    # n_b below 2 solves on the dense side, 10-13 mostly on the band
+    n_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(10.0, 13.0)),
+    amp_sq=st.floats(0.0, 30.0),
+    scale=st.floats(0.0, 1.0),
+)
+@example(n_b=12.0, amp_sq=1.0, scale=0.5)
+@example(n_b=0.5, amp_sq=10.0, scale=0.5)
+def test_coherent_error_is_bounded_and_falls_with_amplitude(n_b, amp_sq, scale):
+    # a beam splitter against a thermal mode of the same n_b scales the
+    # displacement down and leaves the thermal state alone, so by data
+    # processing the error cannot fall when the amplitude does
+    assume(recommended_dim(amp_sq, n_b) <= 400)
+    far = _coherent_helstrom_error(amp_sq, n_b)
+    near = _coherent_helstrom_error(scale * amp_sq, n_b)
+    assert 0.0 <= far <= 0.5 and 0.0 <= near <= 0.5
+    assert far <= near + 1e-14
 
 
 class TestAnalyticBounds:

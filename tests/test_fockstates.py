@@ -397,6 +397,33 @@ def test_recommended_dim_equals_brute_force(amp_sq, e):
     assert recommended_dim(amp_sq, e) == _brute_force_cutoff(amp_sq, e)
 
 
+@pytest.mark.parametrize(
+    "x, e, dim, tail",
+    [
+        (2.5, 20.0, 693, 1e-17),  # narrow band of a noisy state
+        (75.0, 0.1, 445, 1e-17),  # wide band of a nearly coherent one
+        (0.0, 1.0, 37, 1e-17),  # thermal: no off-diagonal entry
+        (3.0, 0.5, 20, 1e-17),  # the whole matrix
+        (2.5, 20.0, 693, 1e-200),  # wider than the first pass: it doubles
+    ],
+)
+def test_band_holds_dense_entries_and_drops_at_most_its_tail(
+    monkeypatch, x, e, dim, tail
+):
+    monkeypatch.setattr(fockstates, "_BAND_TAIL", tail)
+    rho = displaced_thermal_matrix(x, e, dim)
+    band = fockstates._displaced_thermal_band(x, e, dim)
+    width = len(band)
+    assert 2 <= width <= dim and band.shape == (width, dim)
+    for k in range(width):
+        assert np.array_equal(band[k, : dim - k], np.diagonal(rho, -k))
+        assert not band[k, dim - k :].any()
+    dropped = sum(np.abs(np.diagonal(rho, -k)).sum() for k in range(width, dim))
+    assert dropped <= tail
+    if tail < 1e-17:
+        assert width > 64 + 20 * math.sqrt(x)
+
+
 class TestDisplacedThermalMatrix:
     @pytest.mark.parametrize(
         "x, e, dim",
