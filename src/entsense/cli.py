@@ -719,7 +719,7 @@ def _run_task(task):
     row, config, index, point = task
     try:
         return row(config, index, *point)
-    except (ValueError, EntsenseError) as exc:
+    except (ValueError, ArithmeticError, EntsenseError) as exc:
         raise _PointError(index, str(exc)) from exc
 
 
@@ -811,10 +811,11 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
 
     Returns the process exit status: 0 on success, 1 when a grid point or
     the output path fails at runtime, including a quadrature that misses its
-    tolerance and a photon-number tail that never closes.  A failing grid
-    point's error line names it under ``"point"``: its index in grid order
-    and its axis values, keyed as in the sidecar's ``parameters``.  It is
-    the first failing point in grid order at any worker count.
+    tolerance, a photon-number tail that never closes and numeric overflow.
+    A failing grid point's error line names it under ``"point"``: its index
+    in grid order and its axis values, keyed as in the sidecar's
+    ``parameters``.  It is the first failing point in grid order at any
+    worker count.
     Configuration errors are raised by the :class:`SweepConfig`
     constructor, not here.
     """

@@ -20,31 +20,19 @@ from scipy.special import chdtri, gammaincinv
 
 from . import EntsenseError, _check_inputs
 from .gaussian import ChannelParams
-from .special import RngStream, scaled_chi2_pdf
+from .special import RngStream
 
 __all__ = [
     "ConversionParams",
     "ConversionOutcome",
-    "DIRAC_MASS_AT_ZERO",
     "QuadratureError",
     "conversion_params",
     "simulate_conversion",
-    "total_displacement_density",
     "displacement_support",
     "combining_weights",
     "streaming_combiner",
     "expect_total_displacement",
 ]
-
-
-class _DiracMassAtZero:
-    """Sentinel: the total-displacement law degenerates to a point mass at 0."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "DIRAC_MASS_AT_ZERO"
-
-
-DIRAC_MASS_AT_ZERO = _DiracMassAtZero()
 
 
 class QuadratureError(EntsenseError, RuntimeError):
@@ -192,18 +180,6 @@ def simulate_conversion(
     )
 
 
-def total_displacement_density(params: ConversionParams, m: int, x: float):
-    """Density of the combined squared displacement ``|d_T|^2`` after ``m`` modes.
-
-    Returns :data:`DIRAC_MASS_AT_ZERO` when ``xi == 0`` (no signal
-    correlation: the combined displacement is identically zero).
-    """
-    _check_inputs(m=m)
-    if params.xi == 0.0:
-        return DIRAC_MASS_AT_ZERO
-    return scaled_chi2_pdf(x, int(m), params.xi)
-
-
 # ---------------------------------------------------------------------------
 # Shared quadrature engine for expectations against the chi-square law.
 
@@ -244,12 +220,12 @@ def expect_total_displacement(
     """Expectation of ``f`` under the combined-displacement law.
 
     Computes ``E[f(X)]`` for ``X = |d_T|^2`` distributed per
-    :func:`total_displacement_density`, by uniform Gauss-Legendre panels on
-    the chi-square quantile map at every ``m``: one panel of 16 nodes is
-    compared with two, and the panel count doubles until two successive
-    levels agree, returning the finer one.  A smooth integrand converges at
-    the first comparison, 48 evaluations of ``f`` in two calls.  The nodes
-    stay inside ``[0, displacement_support(params, m)]``.
+    :func:`entsense.special.scaled_chi2_pdf`, by uniform Gauss-Legendre
+    panels on the chi-square quantile map at every ``m``: one panel of 16
+    nodes is compared with two, and the panel count doubles until two
+    successive levels agree, returning the finer one.  A smooth integrand
+    converges at the first comparison, 48 evaluations of ``f`` in two calls.
+    The nodes stay inside ``[0, displacement_support(params, m)]``.
 
     Parameters
     ----------

@@ -46,7 +46,6 @@ __all__ = [
     "c2d_exponent_bounds",
     "helstrom_numeric",
     "lemma1_upper_bound",
-    "multi_hypothesis_prefactor",
     "nair_gu_bound",
     "p_c2d",
     "p_classical_coherent",
@@ -493,40 +492,3 @@ def pattern_exponents(
         n_b >= 10.0,
         bool(np.all(amps <= 0.1)),
     )
-
-
-def multi_hypothesis_prefactor(
-    r: int, n_copies: int, c_r: float, dim_power: float, priors=None
-) -> float:
-    """Polynomial prefactor of the multi-hypothesis error bound.
-
-    ``10 (r-1)^2 c_r^2 (n+1)^{2 d} max_h p_h``, where ``c_r`` and ``d``
-    are constants of the underlying pairwise-test construction (cited from
-    external work, so supplied explicitly).
-
-    Parameters
-    ----------
-    r : int
-        Number of hypotheses, at least 2.
-    n_copies : int
-        Number of copies ``n``.
-    c_r : float
-        Pairwise-combination constant.
-    dim_power : float
-        Polynomial degree ``d``.
-    priors : array-like, optional
-        Hypothesis priors; defaults to uniform.
-    """
-    r = int(r)
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if n_copies < 1:
-        raise ValueError("n_copies must be a positive integer")
-    if priors is None:
-        max_prior = 1.0 / r
-    else:
-        priors = np.asarray(priors, dtype=float)
-        if priors.shape != (r,) or np.any(priors < 0) or abs(priors.sum() - 1) > 1e-12:
-            raise ValueError("priors must be a length-r distribution")
-        max_prior = float(priors.max())
-    return 10.0 * (r - 1) ** 2 * c_r**2 * (n_copies + 1.0) ** (2.0 * dim_power) * max_prior

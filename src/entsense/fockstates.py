@@ -21,7 +21,6 @@ from scipy.special import gammaln, xlogy
 __all__ = [
     "DisplacedThermal",
     "FockMatrix",
-    "bpsk_mixture_matrix",
     "dephased_pmf",
     "displaced_thermal_matrix",
     "photon_pmf",
@@ -101,11 +100,6 @@ class FockMatrix:
             raise ValueError("entries must be positive semidefinite")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def trace_deficit(self) -> float:
-        """Probability weight lost to the truncation, ``1 - tr(rho)``."""
-        return 1.0 - float(np.trace(self.entries).real)
 
 
 def _diagonal_start(x: np.ndarray, e: float, k: np.ndarray):
@@ -397,38 +391,30 @@ def photon_pmf(state: DisplacedThermal, n) -> float | np.ndarray:
     return dephased_pmf(state.amp_sq, state.e_noise, n)
 
 
-def bpsk_mixture_matrix(
+def _bpsk_mixture_eigvals(
     x: float, e_noise: float, dim: int, tail_tol: float = _TAIL_TOL
-) -> FockMatrix:
-    """Density matrix of the equal mixture of ``+sqrt(x)`` and ``-sqrt(x)``
-    displaced thermal states.
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues of the equal mixture of the ``+sqrt(x)`` and ``-sqrt(x)``
+    displaced thermal states on ``dim`` Fock levels, and its trace deficit
+    ``1 - tr(rho)``.
 
     The ``-sqrt(x)`` state differs from the ``+sqrt(x)`` one by the sign
-    ``(-1)^{m-n}``, so the mixture is :func:`displaced_thermal_matrix` with
-    the odd ``m - n`` entries set to zero.
-
-    Parameters
-    ----------
-    x : float
-        Squared displacement magnitude, ``>= 0``.
-    e_noise : float
-        Thermal occupation, ``>= 0``; 0 gives the coherent-state mixture.
-    dim : int
-        Cutoff dimension, at least 2.
-    tail_tol : float
-        Largest acceptable trace deficit.
+    ``(-1)^{m-n}``, so the mixture is :func:`displaced_thermal_matrix`
+    without its odd diagonals: one block on the even levels and one on the
+    odd levels, each read straight off the full matrix.
 
     Raises
     ------
     ValueError
         If the truncation at ``dim`` loses more than ``tail_tol`` of the
-        trace; the message names the recommended dimension.
+        trace (the message names the recommended dimension), or if an
+        eigenvalue falls below -1e-10, as :class:`FockMatrix` requires.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
     rho = displaced_thermal_matrix(x, e_noise, dim)
-    rho[1::2, ::2] = 0.0
-    rho[::2, 1::2] = 0.0
     _check_truncation(np.diagonal(rho), x, e_noise, tail_tol)
-    return FockMatrix(dim, rho, tail_tol)
+    eigs = np.concatenate(
+        [np.linalg.eigvalsh(rho[0::2, 0::2]), np.linalg.eigvalsh(rho[1::2, 1::2])]
+    )
+    if np.min(eigs) < -1e-10:
+        raise ValueError("entries must be positive semidefinite")
+    return eigs, 1.0 - float(np.trace(rho))

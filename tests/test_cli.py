@@ -427,6 +427,28 @@ class TestExitCodes:
         assert err["point"] == point
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, index",
+        [
+            # pe_kennedy's |alpha|^2
+            (["receiver-sim", "--receiver", "kennedy", "--alpha", "1,1e200"], 1),
+            # recommended_dim's ceil(inf)
+            (["illumination", "--ns", "1e-3,1e300", "--m", "1"], 1),
+            # green_machine_optimal_n's (n_b + 1)^2
+            (["comm", "--nb", "1e300"], 0),
+        ],
+    )
+    def test_overflowing_point_is_named(self, tmp_path, capsys, argv, index, threads):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out), "--threads", threads]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_status"] == 1
+        assert err["point"]["index"] == index
+        assert not out.exists()
+
     def test_run_requires_config_object(self):
         with pytest.raises(TypeError):
             run({"subcommand": "pattern"})
@@ -681,6 +703,23 @@ def subprocess_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
+def _csv_bytes_at_blas_threads(tmp_path, argv):
+    """CSV bytes of ``entsense *argv`` at one worker, run in a child at
+    ``OPENBLAS_NUM_THREADS`` 1 and 2."""
+    outputs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entsense.cli", *argv, "--out", str(out), "--threads", "1"],
+            capture_output=True,
+            text=True,
+            env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=blas),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    return outputs
+
+
 class TestSubprocessEntry:
     def test_import_loads_neither_scipy_stats_nor_mpmath(self):
         # scipy.stats costs about 45 MB resident and 0.8 s to import; every
@@ -726,19 +765,14 @@ class TestSubprocessEntry:
     def test_preset_2a_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # P_H_CS solves on the band, which calls no threaded BLAS; P_c2d's
         # stacked eigensolves give the same bytes at one and two threads
-        outputs = []
-        for blas in ("1", "2"):
-            out = tmp_path / f"blas{blas}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "entsense.cli", "figures", "--which", "2a"]
-                + ["--out", str(out), "--threads", "1"],
-                capture_output=True,
-                text=True,
-                env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=blas),
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        blas1, blas2 = _csv_bytes_at_blas_threads(tmp_path, ["figures", "--which", "2a"])
+        assert blas1 == blas2
+
+    def test_comm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # chi_bpsk's parity-block eigensolves at cutoff 172
+        argv = ["comm", "--ns", "1e-3", "--nb", "0.1", "--kappa", "1", "--m", "100000"]
+        blas1, blas2 = _csv_bytes_at_blas_threads(tmp_path, argv)
+        assert blas1 == blas2
 
     def test_usage_error_returncode(self, tmp_path):
         proc = subprocess.run(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,6 +27,7 @@ from entsense.communication import (
     shannon_photon_counting,
 )
 from entsense.conversion import conversion_params
+from entsense.fockstates import recommended_dim
 from entsense.gaussian import ChannelParams
 
 FIG5 = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
@@ -271,6 +272,23 @@ class TestHolevoC2dBpsk:
     def test_dim_below_three_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             holevo_c2d_bpsk(1e-3, FIG5, 1, dim=2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_s=st.floats(1e-4, 1.0),
+    kappa=st.floats(0.01, 1.0),
+    n_b=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    m=st.sampled_from([1, 10, 1000, 100000]),
+)
+@example(n_s=1e-3, kappa=1.0, n_b=0.1, m=100000)
+def test_bpsk_holevo_within_one_bit(n_s, kappa, n_b, m):
+    # two equiprobable letters carry at most one bit; the slack covers the
+    # rounding-noise eigenvalues of the mixture's spectrum
+    ch = ChannelParams(kappa, 0.0, n_b)
+    p = conversion_params(n_s, ch)
+    assume(recommended_dim(2.0 * m * p.xi, p.e_noise, 1e-6) <= 250)
+    assert 0.0 <= m * holevo_c2d_bpsk(n_s, ch, m).value <= 1.0 + 1e-11
 
 
 class TestGreenMachineConfig:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from entsense import communication, discrimination
 from entsense.communication import GreenMachineConfig
 from entsense.conversion import (
-    DIRAC_MASS_AT_ZERO,
     QuadratureError,
     combining_weights,
     conversion_params,
@@ -17,7 +16,6 @@ from entsense.conversion import (
     expect_total_displacement,
     simulate_conversion,
     streaming_combiner,
-    total_displacement_density,
 )
 from entsense.gaussian import ChannelParams, apply_channel, condition_on_generaldyne, tmsv
 from entsense.special import RngStream
@@ -161,14 +159,6 @@ class TestCombiner:
 
 
 class TestTotalDisplacementDensity:
-    def test_delegates_to_scaled_chi2(self):
-        p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
-        xs = np.linspace(0, 0.4, 7)
-        for x in xs:
-            got = total_displacement_density(p, 10, x)
-            want = scipy.stats.chi2(20, scale=p.xi).pdf(x)
-            assert_allclose(got, want, rtol=1e-10)
-
     def test_moments(self):
         p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
         m = 6
@@ -176,17 +166,6 @@ class TestTotalDisplacementDensity:
         second, _ = expect_total_displacement(p, m, lambda x: x**2, quad_tol=1e-9)
         assert_allclose(mean, 2 * m * p.xi, rtol=1e-8)
         assert_allclose(second - mean**2, 4 * m * p.xi**2, rtol=1e-6)
-
-    def test_exponential_for_m1(self):
-        p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
-        assert_allclose(total_displacement_density(p, 1, 0.0), 1 / (2 * p.xi), rtol=1e-12)
-        assert total_displacement_density(p, 1, 0.0) > total_displacement_density(
-            p, 1, 0.01
-        )
-
-    def test_dirac_flag(self):
-        p = conversion_params(0.3, ChannelParams(0.0, 0.0, 2.0))
-        assert total_displacement_density(p, 5, 0.1) is DIRAC_MASS_AT_ZERO
 
 
 class TestExpectTotalDisplacement:

@@ -16,7 +16,6 @@ from entsense.discrimination import (
     c2d_exponent_bounds,
     helstrom_numeric,
     lemma1_upper_bound,
-    multi_hypothesis_prefactor,
     nair_gu_bound,
     p_c2d,
     p_classical_coherent,
@@ -451,20 +450,3 @@ class TestPatternExponents:
         with pytest.raises(ValueError, match="kappa"):
             PatternHypothesis(((1.2, 0.0),), 10.0)
 
-
-class TestMultiHypothesisPrefactor:
-    def test_binary_shape(self):
-        got = multi_hypothesis_prefactor(2, 100, 1.0, 1.0)
-        assert got == pytest.approx(10.0 * 101.0**2 * 0.5, rel=1e-12)
-
-    def test_monotone_in_hypothesis_count(self):
-        vals = [multi_hypothesis_prefactor(r, 50, 1.0, 1.0) for r in range(2, 7)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_dominated_by_exponential(self):
-        pre = multi_hypothesis_prefactor(3, 10**4, 1.0, 2.0)
-        assert pre < math.exp(10**4 * 0.01)
-
-    def test_prior_validation(self):
-        with pytest.raises(ValueError, match="priors"):
-            multi_hypothesis_prefactor(3, 10, 1.0, 1.0, priors=[0.5, 0.5])

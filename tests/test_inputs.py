@@ -46,9 +46,6 @@ CALLS = {
     "conversion.simulate_conversion": (
         lambda n_s=NS, m=M: conversion.simulate_conversion(n_s, CH, m, _rng())
     ),
-    "conversion.total_displacement_density": (
-        lambda m=M: conversion.total_displacement_density(PARAMS, m, 1.0)
-    ),
     "conversion.displacement_support": lambda m=M: conversion.displacement_support(PARAMS, m),
     "conversion.expect_total_displacement": (
         lambda m=M: conversion.expect_total_displacement(PARAMS, m, np.exp)
