@@ -719,7 +719,7 @@ def _run_task(task):
     row, config, index, point = task
     try:
         return row(config, index, *point)
-    except (ValueError, ArithmeticError, EntsenseError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, EntsenseError) as exc:
         raise _PointError(index, str(exc)) from exc
 
 

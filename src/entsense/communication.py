@@ -8,6 +8,7 @@ converted outputs, and Shannon information of photon-counting receivers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -18,12 +19,7 @@ from scipy.special import lambertw, ndtr
 from . import EntsenseError, _check_inputs
 from .conversion import conversion_params, expect_total_displacement
 from .discrimination import _golden_section_min
-from .fockstates import (
-    _NODE_BLOCK_BYTES,
-    _bpsk_mixture_eigvals,
-    dephased_pmf,
-    recommended_dim,
-)
+from .fockstates import _bpsk_mixture_eigvals, _pmf_walks, recommended_dim
 from .gaussian import ChannelParams
 from .metrology import opar_optimal_gain
 from .receivers import _opar_counts, _pcr_counts
@@ -134,16 +130,14 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
 
     The pmf is log-concave in ``n`` (a Poisson mixture over a noncentral
     chi-square intensity), so past its mode the mass beyond level ``n`` is
-    at most ``p[n] r / (1 - r)`` with ``r = p[n] / p[n-1]``.  Each row is
-    cut after the first level past its mode where that bound is at most
-    ``tail_mass``, i.e. ``p[n]^2 <= tail_mass (p[n-1] - p[n])``.  The cut
-    does not depend on how far the pmf was computed, so ``x`` is a scalar
-    (returns a float) or a 1-D array (returns one value per entry, each
-    bit-identical to the scalar call).  A stack shares one
-    :func:`dephased_pmf` recurrence per block of rows, with the cutoff sized
-    from its largest entry; rows whose tail has not closed are redone at
-    twice the cutoff.  A block holds at most 2 MB of pmf, or one row when a
-    single row is larger.
+    at most ``p[n] r / (1 - r)`` with ``r = p[n] / p[n-1]``.  Each row
+    walks its pmf up to the first level past its mode where that bound is
+    at most ``tail_mass``, i.e. ``p[n]^2 <= tail_mass (p[n-1] - p[n])``.
+    The mode is the running maximum, and no level is cut before that
+    maximum is a normal float: at large ``x`` and small ``E`` the leading
+    levels underflow to zeros or subnormals, and equal ones meet the rule.
+    ``x`` is a scalar (returns a float) or a 1-D array (returns one value
+    per entry, each bit-identical to the scalar call).
 
     Raises
     ------
@@ -158,28 +152,19 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     batch = np.atleast_1d(xs)
     out = np.zeros(batch.size)
     g_e = g_entropy(e_noise)
-    top = batch.max(initial=0.0)
-    std = math.sqrt(top * (2.0 * e_noise + 1.0) + e_noise * (e_noise + 1.0))
-    n_hi = int(top + e_noise + 10.0 * std) + 25
+    tiny = float(np.finfo(float).tiny)
     todo = np.flatnonzero(batch > 0.0)
-    while todo.size:
-        rows = max(1, _NODE_BLOCK_BYTES // (8 * n_hi))
-        still_open = []
-        for lo in range(0, todo.size, rows):
-            idx = todo[lo : lo + rows]
-            pmf = dephased_pmf(batch[idx], e_noise, np.arange(n_hi))
-            tail = pmf[:, 1:] ** 2 <= tail_mass * (pmf[:, :-1] - pmf[:, 1:])
-            tail &= np.arange(n_hi - 1) >= np.argmax(pmf, axis=1)[:, None]
-            closed = tail.any(axis=1)
-            cuts = np.argmax(tail, axis=1) + 2
-            for i in np.flatnonzero(closed):
-                entropy = _shannon_bits(pmf[i, : cuts[i]])
-                out[idx[i]] = max(entropy - g_e, 0.0)
-            still_open.append(idx[~closed])
-        todo = np.concatenate(still_open)
-        if todo.size and n_hi > _MAX_PHOTON_LEVELS:
+    for i, walk in zip(todo, _pmf_walks(batch[todo], e_noise)):
+        pmf, mode = [next(walk)], 0
+        for n, p in enumerate(itertools.islice(walk, _MAX_PHOTON_LEVELS), 1):
+            pmf.append(p)
+            if p > pmf[mode]:
+                mode = n
+            elif pmf[mode] >= tiny and p * p <= tail_mass * (pmf[n - 1] - p):
+                break
+        else:
             raise PhotonTailError("photon-number tail did not close")
-        n_hi *= 2
+        out[i] = max(_shannon_bits(np.array(pmf)) - g_e, 0.0)
     return out if xs.ndim else float(out[0])
 
 

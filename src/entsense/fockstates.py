@@ -28,9 +28,8 @@ __all__ = [
     "to_fock",
 ]
 
-# Upper bound on the bytes of one stack of per-node arrays (displaced thermal
-# matrices, holevo_cpsk_conditional's pmf rows); the stack lives in every
-# forked CLI worker.
+# Upper bound on the bytes of one stack of per-node displaced thermal
+# matrices; the stack lives in every forked CLI worker.
 _NODE_BLOCK_BYTES = 2**21
 # Largest trace deficit a truncated Fock matrix may leave by default.
 _TAIL_TOL = 1e-9
@@ -119,6 +118,9 @@ def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
     """Yield ``g[n, k] = rho_{n+k, n}``, shape ``(B, min(n_diags, n_rows - n))``,
     for ``n = 0 .. n_rows - 1`` and the ``B`` squared displacements ``x``.
 
+    Builds the matrices only; the tests hold the pmf of :func:`_pmf_walks`
+    equal to its column 0.
+
     With ``q = E/(E+1)`` and ``s = x/(E+1)^2`` each diagonal ``k`` starts at
     :func:`_diagonal_start` and follows the associated Laguerre recurrence
     ``g[n+1, k] sqrt((n+1)(n+k+1)) = ((2n+1+k) q + s) g[n, k]
@@ -150,30 +152,33 @@ def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
         cur, exp2 = nxt, exp2 + shift
 
 
-def _pmf_walk(x: float, e: float):
-    """Yield ``P(0), P(1), ...`` of the displaced thermal state at one
-    squared displacement ``x``, without end.
+def _pmf_walks(xs: np.ndarray, e: float):
+    """Iterator of generators, one per squared displacement in the 1-D ``xs``,
+    each yielding ``P(0), P(1), ...`` of its displaced thermal state forever.
 
     Column 0 of :func:`_laguerre_columns` bit for bit, in Python floats:
-    the same start, operation order and power-of-two renormalization, at
-    about a twentieth of the cost per level of the one-row numpy walk.
+    the same start (one :func:`_diagonal_start` call for all of ``xs``),
+    operation order and power-of-two renormalization, at about a twentieth
+    of the cost per level of the one-row numpy walk.
     """
     q = e / (e + 1.0)
     qq = q * q
-    s = x / (e + 1.0) ** 2
-    cur, exp2 = _diagonal_start(np.full((1, 1), x), e, np.arange(1))
-    cur, exp2 = float(cur[0, 0]), int(exp2[0, 0])
-    prev = root = 0.0
-    for n in itertools.count():
-        yield math.ldexp(cur, exp2)
-        root_next = math.sqrt(n + 1)
-        nxt = ((2 * n + 1) * q + s) * cur
-        if qq:
-            nxt = nxt - qq * root * root * prev
-        nxt, shift = math.frexp(nxt / (root_next * root_next))
-        if qq:  # math.ldexp raises where np.ldexp overflows to inf
-            prev = math.ldexp(cur, -shift)
-        cur, exp2, root = nxt, exp2 + shift, root_next
+    starts, exps = _diagonal_start(xs[:, None], e, np.arange(1))
+
+    def walk(s, cur, exp2):
+        prev = root = 0.0
+        for n in itertools.count():
+            yield math.ldexp(cur, exp2)
+            root_next = math.sqrt(n + 1)
+            nxt = ((2 * n + 1) * q + s) * cur
+            if qq:
+                nxt = nxt - qq * root * root * prev
+            nxt, shift = math.frexp(nxt / (root_next * root_next))
+            if qq:  # math.ldexp raises where np.ldexp overflows to inf
+                prev = math.ldexp(cur, -shift)
+            cur, exp2, root = nxt, exp2 + shift, root_next
+
+    return map(walk, (xs / (e + 1.0) ** 2).tolist(), starts[:, 0].tolist(), exps[:, 0].tolist())
 
 
 def displaced_thermal_matrix(x, e_noise: float, dim: int) -> np.ndarray:
@@ -243,9 +248,9 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> in
     s = amp_sq + e_noise
     floor_dim = math.ceil(s + 8.0 * math.sqrt(s + 1.0)) + 4
     cap = floor_dim + 64
-    # one _pmf_walk (the diagonal of displaced_thermal_matrix, as in
-    # dephased_pmf, in scalar floats), checked at each cap
-    levels = _pmf_walk(amp_sq, e_noise)
+    # one pmf walk (the diagonal of displaced_thermal_matrix, as in
+    # dephased_pmf), checked at each cap
+    (levels,) = _pmf_walks(np.array([amp_sq]), e_noise)
     pmf = []
     for _ in range(16):
         pmf.extend(itertools.islice(levels, cap - len(pmf)))
@@ -346,8 +351,8 @@ def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
     Parameters
     ----------
     x : float or 1-D array of float
-        Squared displacement(s), ``>= 0``.  A stack runs one recurrence for
-        all of its rows, each bit-identical to the scalar call.
+        Squared displacement(s), ``>= 0``.  Each row of a stack is its own
+        walk, bit-identical to the scalar call.
     e_noise : float
         Thermal occupation, ``>= 0``.
     n : int or array of int
@@ -374,8 +379,8 @@ def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
     batch = np.atleast_1d(xs)
     top = int(n_arr.max(initial=-1)) + 1
     diag = np.empty((batch.size, top))
-    for level, col in enumerate(_laguerre_columns(batch, e, top, 1)):
-        diag[:, level] = col[:, 0]
+    for row, walk in zip(diag, _pmf_walks(batch, e)):
+        row[:] = list(itertools.islice(walk, top))
     result = diag[:, n_arr].reshape(batch.shape + np.shape(n))
     if xs.ndim:
         return result

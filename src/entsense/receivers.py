@@ -153,10 +153,8 @@ def _dolinar_batch(
             )
             counts = np.minimum(counts, _PHOTON_CAP)
         grid = np.arange(counts.max() + 1)
-        like_match = np.atleast_1d(dephased_pmf((gamma - uk) ** 2, e_slice, grid))
-        like_other = np.atleast_1d(dephased_pmf((gamma + uk) ** 2, e_slice, grid))
-        matched = like_match[counts]
-        other = like_other[counts]
+        like = dephased_pmf(np.array([(gamma - uk) ** 2, (gamma + uk) ** 2]), e_slice, grid)
+        matched, other = like[:, counts]
         p0 *= np.where(g == 0, matched, other)
         p1 *= np.where(g == 0, other, matched)
         total = p0 + p1

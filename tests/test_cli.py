@@ -383,6 +383,8 @@ class TestExitCodes:
         [
             QuadratureError("quadrature did not reach tolerance", 1.0, 1e-14, 1e-14),
             PhotonTailError("photon-number tail did not close"),
+            # numpy's _ArrayMemoryError, raised without allocating anything
+            MemoryError("Unable to allocate 1.69 TiB for an array"),
         ],
     )
     def test_library_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys, exc):

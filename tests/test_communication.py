@@ -27,7 +27,7 @@ from entsense.communication import (
     shannon_photon_counting,
 )
 from entsense.conversion import conversion_params
-from entsense.fockstates import recommended_dim
+from entsense.fockstates import dephased_pmf, recommended_dim
 from entsense.gaussian import ChannelParams
 
 FIG5 = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
@@ -140,7 +140,7 @@ class TestHolevoCpskConditional:
 
     def test_open_tail_raises(self, monkeypatch):
         # the thermal tail at E = 50 needs about 1,400 levels to fall below
-        # 1e-12, and the first cutoff is 585: cap the doubling below that
+        # 1e-12: cap the walk below that
         monkeypatch.setattr(communication, "_MAX_PHOTON_LEVELS", 1000)
         with pytest.raises(PhotonTailError):
             holevo_cpsk_conditional(np.array([0.5, 0.0, 0.2]), 50.0)
@@ -154,35 +154,23 @@ class TestHolevoCpskConditional:
         # 1 - cumsum of these pmfs stalls a few 1e-15 above 1e-15, so their
         # tails close only on the pmf's decay (in the stack, 16.8's pmf
         # underflows to zero before the cutoff); the low cap turns a tail
-        # that never closes into an error at once instead of minutes of
-        # doubling
+        # that never closes into an error at once instead of a walk of
+        # 10^7 levels
         monkeypatch.setattr(communication, "_MAX_PHOTON_LEVELS", 1000)
         got = np.atleast_1d(holevo_cpsk_conditional(xs, e, tail_mass=1e-15))
         for value, x in zip(got, np.atleast_1d(xs)):
             assert abs(value - holevo_cpsk_conditional(x, e, tail_mass=1e-12)) < 1e-10
-            # reference: a pmf four times longer than the first cutoff
+            # reference: a pmf four times longer than a 10-sigma cutoff
             std = math.sqrt(x * (2 * e + 1) + e * (e + 1))
-            p = communication.dephased_pmf(x, e, np.arange(4 * int(x + e + 10 * std + 25)))
+            p = dephased_pmf(x, e, np.arange(4 * int(x + e + 10 * std + 25)))
             p = p[p > 0]
             reference = -math.fsum(p * np.log2(p)) - g_entropy(e)
             assert abs(value - reference) < 1e-12
 
-    def test_large_stack_respects_block_bound(self, monkeypatch):
-        shapes = []
-        pmf = communication.dephased_pmf
-
-        def recording(x, e_noise, n):
-            shapes.append((np.size(x), np.size(n)))
-            return pmf(x, e_noise, n)
-
-        monkeypatch.setattr(communication, "dephased_pmf", recording)
-        # 120 live rows at a 3,800-level cutoff hold 3.6 MB of pmf
+    def test_large_stack_respects_block_bound(self):
+        # 120 live rows, each walked to its own cut of about 3,000 levels
         xs = np.tile([3000.0, 0.0, 1.0, 2500.0], 40)
         got = holevo_cpsk_conditional(xs, 0.5)
-        assert len(shapes) > 1
-        for rows, levels in shapes:
-            assert rows * levels * 8 <= communication._NODE_BLOCK_BYTES
-        assert sum(rows for rows, _ in shapes) == 120
         assert np.all(got[1::4] == 0.0)
         assert np.all(got[2::4] == holevo_cpsk_conditional(1.0, 0.5))
         assert np.all(got[::4] > got[3::4]) and np.all(got[3::4] > got[2::4])
@@ -200,6 +188,41 @@ def test_stacked_conditional_rows_equal_scalar_calls(xs, e, tail_mass):
     assert stacked.shape == (len(xs),)
     for value, x in zip(stacked, xs):
         assert value == holevo_cpsk_conditional(x, e, tail_mass)
+
+
+def _global_rule_bits(x, e, tail_mass):
+    """holevo_cpsk_conditional on a whole dephased_pmf row: the row's
+    global argmax, then the first ``j`` past it with
+    ``p[j+1]^2 <= tail_mass (p[j] - p[j+1])``, keeping levels ``0 .. j+1``;
+    a row that has not closed is redone at twice the length."""
+    std = math.sqrt(x * (2 * e + 1) + e * (e + 1))
+    levels = int(x + e + 10 * std) + 25
+    while True:
+        p = dephased_pmf(x, e, np.arange(levels))
+        tail = p[1:] ** 2 <= tail_mass * (p[:-1] - p[1:])
+        tail &= np.arange(levels - 1) >= np.argmax(p)
+        if tail.any():
+            break
+        levels *= 2
+    p = p[: np.argmax(tail) + 2]
+    p = p[p > 0]
+    return max(-math.fsum(p * np.log2(p)) - g_entropy(e), 0.0)
+
+
+@pytest.mark.parametrize("tail_mass", [1e-12, 1e-15])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    x=st.floats(1e-7, 5e3),
+    e=st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(1e-3, 20.0)),
+)
+# the leading levels underflow to zero or to subnormals here; from x = 752
+# at E = 0 two leading zeros meet the cut rule, so a cut before the running
+# maximum is a normal float gives 0 bits instead of 6.82
+@example(x=738.18, e=1.77e-5)
+@example(x=750.0, e=0.0)
+@example(x=752.0, e=0.0)
+def test_streaming_cut_equals_global_rule(x, e, tail_mass):
+    assert holevo_cpsk_conditional(x, e, tail_mass) == _global_rule_bits(x, e, tail_mass)
 
 
 class TestHolevoC2dCpsk:

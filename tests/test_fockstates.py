@@ -348,7 +348,7 @@ class TestRecommendedDim:
     def test_failure_names_levels_walked(self, monkeypatch):
         # a pmf whose tail never falls: 16 passes from cap 12 + 64 walk
         # 76 * 2^15 levels, and the message names that many
-        monkeypatch.setattr(fockstates, "_pmf_walk", lambda x, e: itertools.repeat(0.5))
+        monkeypatch.setattr(fockstates, "_pmf_walks", lambda xs, e: [itertools.repeat(0.5)])
         with pytest.raises(ValueError, match=f"within the {76 << 15} levels walked"):
             recommended_dim(0.0, 0.0)
 
@@ -371,15 +371,17 @@ def _brute_force_cutoff(amp_sq, e, tail_tol=1e-9):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    x=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=8),
     e=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
     n=st.integers(1, 1500),
 )
-@example(x=2.225e-309, e=0.0, n=20)
-def test_pmf_walk_equals_laguerre_column(x, e, n):
-    walk = list(itertools.islice(fockstates._pmf_walk(x, e), n))
-    column = [col[0, 0] for col in fockstates._laguerre_columns(np.array([x]), e, n, 1)]
-    assert walk == column
+@example(xs=[2.225e-309], e=0.0, n=20)
+def test_pmf_walk_equals_laguerre_column(xs, e, n):
+    # the walks share one start call; each row is its own one-row column
+    walks = fockstates._pmf_walks(np.array(xs), e)
+    for x, walk in zip(xs, walks, strict=True):
+        column = fockstates._laguerre_columns(np.array([x]), e, n, 1)
+        assert list(itertools.islice(walk, n)) == [col[0, 0] for col in column]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
