@@ -14,9 +14,11 @@ rows are assembled in grid order and Monte Carlo subcommands seed a
 counter-based stream per grid point, so reruns with the same seed are
 byte-identical regardless of parallelism.
 
-One table gives each subcommand and ``figures`` preset its CSV columns,
-grid axes, row function and options; a second gives each option its
-default, check, flag type and help.  The argument parser is built from both.
+One table gives each CSV cell, or run of adjacent cells, as a function of
+one grid point.  A second gives each subcommand and ``figures`` preset its
+CSV columns, the cells that fill them, its grid axes, its fixed channel
+values and options; a third gives each option its default, check, flag type
+and help.  The argument parser is built from the last two.
 
 Subcommands
 -----------
@@ -250,134 +252,38 @@ def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
 
 
 # ---------------------------------------------------------------------------
-# row functions: (config, index, *grid point) -> (row, achieved quadrature
-# tolerance or None); module level so they pickle into worker processes
+# the cell table: each CSV cell, or run of adjacent cells, as a function of one
+# grid point; module level, so workers look their cells up by name
 
 
-def _illumination_row(config, index, ns, nb, kappa, m):
-    ch = ChannelParams(kappa=kappa, theta=0.0, n_b=nb)
-    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
-    row = [
-        ns,
-        nb,
-        kappa,
-        m,
-        value,
-        nair_gu_bound(ns, ch, m),
-        lemma1_upper_bound(ns, ch, m),
-        p_classical_coherent(ns, ch, m),
-    ]
-    return row, achieved
+class _Point(dict):
+    """One grid point: its option, fixed channel and axis values by name
+    (``ns``, ``nb``, ``kappa``, ``m``, ``theta``, ...) and each cell of
+    ``_CELLS`` once read.  Integrated cells add their achieved quadrature
+    tolerance to ``achieved``."""
+
+    def __init__(self, config: SweepConfig, index: int, values: dict):
+        super().__init__(values)
+        self.config, self.index, self.achieved = config, index, []
+
+    def __missing__(self, name):
+        self[name] = value = _CELLS[name](self)
+        return value
+
+    @property
+    def args(self):
+        """``(n_s, channel, m)``: the leading arguments of most library calls."""
+        return self["ns"], self["channel"], self["m"]
+
+    def integrated(self, result):
+        value, achieved = result
+        self.achieved.append(achieved)
+        return value
 
 
-def _phase_row(config, index, ns, nb, kappa, m):
-    theta = config.options["theta"]
-    ch = ChannelParams(kappa=kappa, theta=theta, n_b=nb)
-    row = [
-        ns,
-        nb,
-        kappa,
-        m,
-        theta,
-        qfi_c2d(ns, ch, m),
-        qfi_cs(ns, ch, m),
-        qfi_upper_bound(ns, ch, m),
-        qfi_tmsv(ns, ch, m),
-        fi_opar(ns, ch, m, theta),
-        fi_pcr(ns, ch, m, theta),
-    ]
-    return row, None
-
-
-def _bpsk_counting_rates(ns, ch, m):
-    """``(i_opar, i_pcr)``: photon-counting information per mode of the
-    amplifier and conjugator receivers for BPSK over ``m`` modes."""
-    return tuple(
-        shannon_photon_counting(*pmfs(ns, ch, m, (0.0, math.pi))) / m
-        for pmfs in (opar_photon_pmfs, pcr_count_pmfs)
-    )
-
-
-def _comm_row(config, index, ns, nb, kappa, m):
-    quad_tol = config.quad_tol
-    ch = ChannelParams(kappa=kappa, theta=0.0, n_b=nb)
-    bpsk = holevo_c2d_bpsk(ns, ch, m)
-    green = green_machine_optimize(ns, ch, quad_tol)
-    chi, achieved = holevo_c2d_cpsk(ns, ch, m, quad_tol, with_achieved=True)
-    row = [
-        ns,
-        nb,
-        kappa,
-        m,
-        capacity_classical(ns, ch),
-        capacity_ea(ns, ch),
-        chi,
-        bpsk.value,
-        green.rate,
-        green.repetitions,
-        green.codeword_len,
-        *_bpsk_counting_rates(ns, ch, m),
-    ]
-    return row, achieved
-
-
-def _pattern_row(config, index, ns, nb, kappa):
-    subchannels = config.options["subchannels"]
-    absent = PatternHypothesis(((0.0, 0.0),) * subchannels, nb)
-    present = PatternHypothesis(((kappa, 0.0),) * subchannels, nb)
-    exps = pattern_exponents(absent, present, (ns,) * subchannels)
-    ratio = exps.entangled_refined / exps.classical if exps.classical > 0 else math.inf
-    row = [
-        ns,
-        nb,
-        kappa,
-        subchannels,
-        exps.classical,
-        exps.entangled,
-        exps.entangled_refined,
-        ratio,
-    ]
-    return row, None
-
-
-def _receiver_row(config, index, amplitude):
-    opts = config.options
-    receiver, noise_nb = opts["receiver"], opts["noise_nb"]
-    alpha_re, alpha_im = amplitude
-    alpha = complex(alpha_re, alpha_im)
-    if receiver == "dolinar":
-        slices, trials = opts["slices"], opts["trials"]
-        cfg = DolinarConfig(slices=slices, trials=trials, noise_nb=noise_nb)
-        rate, stderr = dolinar_simulate(alpha, cfg, RngStream(config.seed, index))
-        row = [receiver, alpha_re, alpha_im, slices, noise_nb, trials, rate, stderr]
-        return row, None
-    if receiver == "kennedy":
-        rate = pe_kennedy(alpha)
-    elif receiver == "homodyne":
-        rate = pe_homodyne(abs(alpha))
-    else:
-        rate = pe_heterodyne(alpha)
-    return [receiver, alpha_re, alpha_im, 0, noise_nb, 0, rate, 0.0], None
-
-
-def _fig2a_row(config, index, m):
-    # the illumination row at the Fig. 2 channel, less n_s, n_b, kappa and Lemma 1
-    row, achieved = _illumination_row(config, index, 1e-3, 20.0, 0.01, m)
-    return [m, *row[4:6], row[7]], achieved
-
-
-def _fig2b_row(config, index, ns, nb):
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
-    exps = c2d_exponent_bounds(ns, ch)
-    row = [
-        ns,
-        nb,
-        exps.r_c2d_lb,
-        exps.r_cs,
-        exps.r_asymptotic,
-        exps.r_c2d_lb - exps.r_cs,
-    ]
-    return row, None
+def _chi_cpsk(p: _Point, m: int) -> float:
+    result = holevo_c2d_cpsk(p["ns"], p["channel"], m, p.config.quad_tol, with_achieved=True)
+    return p.integrated(result)
 
 
 def _mode_count_for_classical_level(ns, ch, level):
@@ -419,86 +325,93 @@ def _mode_count_for_classical_level(ns, ch, level):
     return m
 
 
-def _fig3a_row(config, index, ns, nb):
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
-    m = _mode_count_for_classical_level(ns, ch, 0.05)
-    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
-    benchmark = p_classical_coherent(ns, ch, m)
-    row = [ns, nb, m, value, benchmark, value / benchmark]
-    return row, achieved
+def _pattern(p: _Point):
+    """r_classical, r_entangled, r_entangled_refined and the refined ratio for
+    ``subchannels`` cells whose target is present or absent in all of them."""
+    cells, nb = p["subchannels"], p["nb"]
+    absent = PatternHypothesis(((0.0, 0.0),) * cells, nb)
+    present = PatternHypothesis(((p["kappa"], 0.0),) * cells, nb)
+    exps = pattern_exponents(absent, present, (p["ns"],) * cells)
+    ratio = exps.entangled_refined / exps.classical if exps.classical > 0 else math.inf
+    return exps.classical, exps.entangled, exps.entangled_refined, ratio
 
 
-def _fig4a_row(config, index, ns):
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
-    f_c2d = qfi_c2d(ns, ch, 1)
-    f_cs = qfi_cs(ns, ch, 1)
-    f_ub = qfi_upper_bound(ns, ch, 1)
-    row = [ns, f_c2d, f_cs, f_ub, f_c2d / f_cs, f_ub / f_cs]
-    return row, None
+def _receiver_sim(p: _Point):
+    """slices, noise_nb, trials, error rate and its standard error at one
+    amplitude; the closed-form receivers write no slices, trials or error."""
+    receiver, noise_nb = p["receiver"], p["noise_nb"]
+    alpha = complex(*p["alpha"])
+    if receiver == "dolinar":
+        cfg = DolinarConfig(slices=p["slices"], trials=p["trials"], noise_nb=noise_nb)
+        rate, stderr = dolinar_simulate(alpha, cfg, RngStream(p.config.seed, p.index))
+        return p["slices"], noise_nb, p["trials"], rate, stderr
+    if receiver == "kennedy":
+        rate = pe_kennedy(alpha)
+    elif receiver == "homodyne":
+        rate = pe_homodyne(abs(alpha))
+    else:
+        rate = pe_heterodyne(alpha)
+    return 0, noise_nb, 0, rate, 0.0
 
 
-def _fig4b_row(config, index, ns, nb):
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
-    row = [ns, nb, qfi_c2d(ns, ch, 1) / qfi_cs(ns, ch, 1)]
-    return row, None
-
-
-def _fig5a_row(config, index, ns):
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
-    (chi_1, achieved_1), (chi_10k, achieved_10k) = (
-        holevo_c2d_cpsk(ns, ch, m, config.quad_tol, with_achieved=True)
-        for m in (1, 10_000)
-    )
-    row = [ns, capacity_classical(ns, ch), capacity_ea(ns, ch), chi_1, chi_10k]
-    return row, max(achieved_1, achieved_10k)
-
-
-def _fig7a_row(config, index, m):
-    seed = config.seed
-    ns, ch = 1e-3, ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
-    value, achieved = p_c2d(ns, ch, m, config.quad_tol, with_achieved=True)
-    params = conversion_params(ns, ch)
-    amps = sample_scaled_chi2(
-        m, params.xi, RngStream(seed, 2 * index).generator(), size=8
-    )
+def _dolinar_c2d(p: _Point):
+    """Mean and standard error of the Dolinar receiver's error rate over 8
+    sampled displacement amplitudes of the converted state."""
+    seed, index, m = p.config.seed, p.index, p["m"]
+    params = conversion_params(p["ns"], p["channel"])
+    amps = sample_scaled_chi2(m, params.xi, RngStream(seed, 2 * index).generator(), size=8)
     cfg = DolinarConfig(slices=100, trials=2_000, noise_nb=params.e_noise)
+    streams = (RngStream(seed, 1_000 + 16 * index + rep) for rep in range(amps.size))
     rates = np.array(
-        [
-            dolinar_simulate(
-                math.sqrt(x), cfg, RngStream(seed, 1_000 + 16 * index + rep)
-            )[0]
-            for rep, x in enumerate(amps)
-        ]
+        [dolinar_simulate(math.sqrt(x), cfg, s)[0] for x, s in zip(amps, streams)]
     )
-    homodyne = pe_homodyne(math.sqrt(ch.kappa * m * ns / (2.0 * ch.n_b + 1.0)))
-    row = [
-        m,
-        value,
-        float(rates.mean()),
-        float(rates.std(ddof=1) / math.sqrt(rates.size)),
-        pcr_pe(ns, ch, m),
-        opar_pe(ns, ch, m),
-        homodyne,
-    ]
-    return row, achieved
+    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(rates.size))
 
 
-def _fig7c_row(config, index, ns):
-    quad_tol = config.quad_tol
-    ch = ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
-    green = green_machine_optimize(ns, ch, quad_tol)
-    chi, achieved = holevo_c2d_cpsk(ns, ch, 10_000, quad_tol, with_achieved=True)
-    row = [
-        ns,
-        capacity_classical(ns, ch),
-        capacity_ea(ns, ch),
-        chi,
-        green.rate,
-        green.repetitions,
-        green.codeword_len,
-        *_bpsk_counting_rates(ns, ch, 1_000),
-    ]
-    return row, achieved
+# cell name -> function of the point; a tuple value fills adjacent columns
+_CELLS: dict[str, Callable[[_Point], Any]] = {
+    "channel": lambda p: ChannelParams(p["kappa"], p.get("theta", 0.0), p["nb"]),
+    # m where no axis or fixed value gives it (preset 3a): the smallest mode
+    # count at which the coherent-state benchmark's error reaches 0.05
+    "m": lambda p: _mode_count_for_classical_level(p["ns"], p["channel"], 0.05),
+    "p_c2d": lambda p: p.integrated(p_c2d(*p.args, p.config.quad_tol, with_achieved=True)),
+    "nair_gu_lower": lambda p: nair_gu_bound(*p.args),
+    "lemma1_upper": lambda p: lemma1_upper_bound(*p.args),
+    "p_cs_helstrom": lambda p: p_classical_coherent(*p.args),
+    "c2d_cs_ratio": lambda p: p["p_c2d"] / p["p_cs_helstrom"],
+    "exponents": lambda p: c2d_exponent_bounds(p["ns"], p["channel"]),
+    "exponent_advantage": lambda p: p["exponents"].r_c2d_lb - p["exponents"].r_cs,
+    "qfi_c2d": lambda p: qfi_c2d(*p.args),
+    "qfi_cs": lambda p: qfi_cs(*p.args),
+    "qfi_upper": lambda p: qfi_upper_bound(*p.args),
+    "qfi_tmsv": lambda p: qfi_tmsv(*p.args),
+    "qfi_c2d_ratio": lambda p: p["qfi_c2d"] / p["qfi_cs"],
+    "qfi_upper_ratio": lambda p: p["qfi_upper"] / p["qfi_cs"],
+    "fi_opar": lambda p: fi_opar(*p.args, p["theta"]),
+    "fi_pcr": lambda p: fi_pcr(*p.args, p["theta"]),
+    "c_classical": lambda p: capacity_classical(p["ns"], p["channel"]),
+    "c_ea": lambda p: capacity_ea(p["ns"], p["channel"]),
+    "chi_cpsk": lambda p: _chi_cpsk(p, p["m"]),
+    "chi_m1": lambda p: _chi_cpsk(p, 1),
+    "chi_m10000": lambda p: _chi_cpsk(p, 10_000),
+    "chi_bpsk": lambda p: holevo_c2d_bpsk(*p.args).value,
+    # rate, repetitions and codeword length of the Green machine
+    "green": lambda p: green_machine_optimize(p["ns"], p["channel"], p.config.quad_tol),
+    # photon-counting information per mode of the amplifier and conjugator
+    # receivers for BPSK
+    "counting": lambda p: tuple(
+        shannon_photon_counting(*pmfs(*p.args, (0.0, math.pi))) / p["m"]
+        for pmfs in (opar_photon_pmfs, pcr_count_pmfs)
+    ),
+    "dolinar_c2d": _dolinar_c2d,
+    "p_pcr": lambda p: pcr_pe(*p.args),
+    "p_opar": lambda p: opar_pe(*p.args),
+    "p_homodyne": lambda p: pe_homodyne(
+        math.sqrt(p["kappa"] * p["m"] * p["ns"] / (2.0 * p["nb"] + 1.0))
+    ),
+    "pattern": _pattern,
+    "receiver_sim": _receiver_sim,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +420,14 @@ def _fig7c_row(config, index, ns):
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One CSV schema: its columns, ``axes(config)`` (axis name -> values,
-    whose product is the grid in row order), the row function, and the
-    option names it reads."""
+    """One CSV schema: its columns, the cells that fill them, ``axes(config)``
+    (axis name -> values, whose product is the grid in row order), the
+    channel values it fixes, and the option names it reads."""
 
     columns: tuple[str, ...]
+    cells: tuple[str, ...]
     axes: Callable[[SweepConfig], dict]
-    row: Callable
+    fixed: dict = field(default_factory=dict)
     options: tuple[str, ...] = ()
     help: str = ""
 
@@ -523,122 +437,104 @@ def _channel_axes(config):
 
 
 _CHANNEL_COLUMNS = ("n_s", "n_b", "kappa", "m")
+_CHANNEL_CELLS = ("ns", "nb", "kappa", "m")
 # comm and 7c both end on the Green machine and the photon-counting rates
-_RECEIVER_RATE_COLUMNS = (
-    "green_rate",
-    "green_repetitions",
-    "green_codeword",
-    "i_opar",
-    "i_pcr",
-)
+_RATE_COLUMNS = ("green_rate", "green_repetitions", "green_codeword", "i_opar", "i_pcr")
+_RATE_CELLS = ("green", "counting")
+_ILLUMINATION_CELLS = ("p_c2d", "nair_gu_lower", "lemma1_upper", "p_cs_helstrom")
+_PHASE_CELLS = ("qfi_c2d", "qfi_cs", "qfi_upper", "qfi_tmsv", "fi_opar", "fi_pcr")
 
 _SWEEPS = {
     "illumination": _Sweep(
-        _CHANNEL_COLUMNS + ("p_c2d", "nair_gu_lower", "lemma1_upper", "p_cs_helstrom"),
+        _CHANNEL_COLUMNS + _ILLUMINATION_CELLS,
+        _CHANNEL_CELLS + _ILLUMINATION_CELLS,
         _channel_axes,
-        _illumination_row,
         help="target-detection sweep",
     ),
     "phase": _Sweep(
-        _CHANNEL_COLUMNS
-        + (
-            "theta",
-            "qfi_c2d",
-            "qfi_cs",
-            "qfi_upper",
-            "qfi_tmsv",
-            "fi_opar",
-            "fi_pcr",
-        ),
+        _CHANNEL_COLUMNS + ("theta",) + _PHASE_CELLS,
+        _CHANNEL_CELLS + ("theta",) + _PHASE_CELLS,
         _channel_axes,
-        _phase_row,
         options=("theta",),
         help="Fisher-information sweep",
     ),
     "comm": _Sweep(
-        _CHANNEL_COLUMNS
-        + ("c_classical", "c_ea", "chi_cpsk", "chi_bpsk")
-        + _RECEIVER_RATE_COLUMNS,
+        _CHANNEL_COLUMNS + ("c_classical", "c_ea", "chi_cpsk", "chi_bpsk") + _RATE_COLUMNS,
+        _CHANNEL_CELLS + ("c_classical", "c_ea", "chi_cpsk", "chi_bpsk") + _RATE_CELLS,
         _channel_axes,
-        _comm_row,
         help="communication-rate sweep",
     ),
     "pattern": _Sweep(
-        (
-            "n_s",
-            "n_b",
-            "kappa",
-            "subchannels",
-            "r_classical",
-            "r_entangled",
-            "r_entangled_refined",
-            "ratio_refined_classical",
-        ),
+        ("n_s", "n_b", "kappa", "subchannels")
+        + ("r_classical", "r_entangled", "r_entangled_refined", "ratio_refined_classical"),
+        ("ns", "nb", "kappa", "subchannels", "pattern"),
         lambda c: {"ns": c.ns, "nb": c.nb, "kappa": c.kappa},
-        _pattern_row,
         options=("subchannels",),
         help="pattern-classification exponents",
     ),
     "receiver-sim": _Sweep(
-        (
-            "receiver",
-            "alpha_re",
-            "alpha_im",
-            "slices",
-            "noise_nb",
-            "trials",
-            "error_rate",
-            "stderr",
-        ),
+        ("receiver", "alpha_re", "alpha_im", "slices", "noise_nb", "trials")
+        + ("error_rate", "stderr"),
+        ("receiver", "alpha", "receiver_sim"),
         lambda c: {"alpha": c.options["alpha"]},
-        _receiver_row,
         options=("receiver", "alpha", "slices", "trials", "noise_nb"),
         help="coherent-state receiver curves",
     ),
 }
 
 _M_GRID = tuple(int(round(v)) for v in np.geomspace(1e5, 1e7, 7))
+# the Fig. 2 source and channel (2a, 7a), and the channel of 5a and 7c
+_FIG2 = {"ns": 1e-3, "kappa": 0.01, "nb": 20.0}
+_NB100 = {"kappa": 0.01, "nb": 100.0}
 
 _PRESETS = {
     "2a": _Sweep(
         ("M", "P_c2d", "P_NG", "P_H_CS"),
+        ("m", "p_c2d", "nair_gu_lower", "p_cs_helstrom"),
         lambda c: {"M": _M_GRID},
-        _fig2a_row,
+        _FIG2,
     ),
     "2b": _Sweep(
         ("n_s", "n_b", "r_c2d_lower", "r_cs", "r_asymptotic", "advantage"),
+        ("ns", "nb", "exponents", "exponent_advantage"),
         lambda c: dict.fromkeys(("n_s", "n_b"), _geomspace(1e-3, 10.0, 20)),
-        _fig2b_row,
+        {"kappa": 0.01},
     ),
     "3a": _Sweep(
         ("n_s", "n_b", "m", "p_c2d", "p_cs_helstrom", "ratio"),
+        ("ns", "nb", "m", "p_c2d", "p_cs_helstrom", "c2d_cs_ratio"),
         lambda c: {"n_s": _geomspace(1e-2, 1.0, 5), "n_b": _geomspace(0.1, 10.0, 5)},
-        _fig3a_row,
+        {"kappa": 0.01},
     ),
     "4a": _Sweep(
         ("n_s", "qfi_c2d", "qfi_cs", "qfi_upper", "ratio_c2d", "ratio_upper"),
+        ("ns", "qfi_c2d", "qfi_cs", "qfi_upper", "qfi_c2d_ratio", "qfi_upper_ratio"),
         lambda c: {"n_s": _geomspace(1e-6, 1.0, 25)},
-        _fig4a_row,
+        {"kappa": 0.01, "nb": 20.0, "m": 1},
     ),
     "4b": _Sweep(
         ("n_s", "n_b", "ratio_c2d_cs"),
+        ("ns", "nb", "qfi_c2d_ratio"),
         lambda c: dict.fromkeys(("n_s", "n_b"), _geomspace(1e-2, 10.0, 20)),
-        _fig4b_row,
+        {"kappa": 0.01, "m": 1},
     ),
     "5a": _Sweep(
         ("n_s", "c_classical", "c_ea", "chi_m1", "chi_m10000"),
+        ("ns", "c_classical", "c_ea", "chi_m1", "chi_m10000"),
         lambda c: {"n_s": _geomspace(1e-4, 1e-2, 9)},
-        _fig5a_row,
+        _NB100,
     ),
     "7a": _Sweep(
         ("M", "p_c2d", "dolinar_rate", "dolinar_stderr", "p_pcr", "p_opar", "p_homodyne"),
+        ("m", "p_c2d", "dolinar_c2d", "p_pcr", "p_opar", "p_homodyne"),
         lambda c: {"M": _M_GRID},
-        _fig7a_row,
+        _FIG2,
     ),
     "7c": _Sweep(
-        ("n_s", "c_classical", "c_ea", "chi_m10000") + _RECEIVER_RATE_COLUMNS,
+        ("n_s", "c_classical", "c_ea", "chi_m10000") + _RATE_COLUMNS,
+        ("ns", "c_classical", "c_ea", "chi_m10000") + _RATE_CELLS,
         lambda c: {"n_s": _geomspace(1e-4, 1e-2, 7)},
-        _fig7c_row,
+        {**_NB100, "m": 1_000},  # the photon-counting rates' mode count
     ),
 }
 
@@ -699,11 +595,12 @@ def _sweep(config: SweepConfig) -> _Sweep:
 
 
 def _plan(config: SweepConfig):
-    """Columns and ordered tasks ``(row, config, index, point)``: one task
+    """Columns and ordered tasks ``(config, index, axis values)``: one task
     per point of the product of the table entry's axes."""
     sweep = _sweep(config)
-    grid = enumerate(itertools.product(*sweep.axes(config).values()))
-    return sweep.columns, [(sweep.row, config, i, point) for i, point in grid]
+    axes = sweep.axes(config)
+    grid = enumerate(itertools.product(*axes.values()))
+    return sweep.columns, [(config, i, dict(zip(axes, point))) for i, point in grid]
 
 
 class _PointError(Exception):
@@ -715,12 +612,23 @@ class _PointError(Exception):
         self.message = message
 
 
+# preset axis names -> the point's value names
+_AXIS_VALUES = {"n_s": "ns", "n_b": "nb", "M": "m"}
+
+
 def _run_task(task):
-    row, config, index, point = task
+    """A task's CSV row and the largest achieved tolerance of its integrated
+    cells (None if it has none)."""
+    config, index, axis_values = task
+    sweep = _sweep(config)
+    values = {_AXIS_VALUES.get(k, k): v for k, v in axis_values.items()}
+    point = _Point(config, index, {**config.options, **sweep.fixed, **values})
     try:
-        return row(config, index, *point)
+        cells = [point[name] for name in sweep.cells]
     except (ValueError, ArithmeticError, MemoryError, EntsenseError) as exc:
         raise _PointError(index, str(exc)) from exc
+    row = [v for cell in cells for v in (cell if isinstance(cell, tuple) else (cell,))]
+    return row, max(point.achieved, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +738,7 @@ def run(config: SweepConfig, threads: int | None = None) -> int:
         _write_csv(config.output_path, columns, rows)
         _write_sidecar(config, columns, len(rows), achieved)
     except _PointError as exc:
-        names = _sweep(config).axes(config)
-        point = {"index": exc.index, **dict(zip(names, tasks[exc.index][3]))}
-        return _emit_error(exc.message, 1, point)
+        return _emit_error(exc.message, 1, {"index": exc.index, **tasks[exc.index][2]})
     except (ValueError, OSError, EntsenseError) as exc:
         return _emit_error(str(exc), 1)
     return 0

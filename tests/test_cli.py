@@ -14,14 +14,28 @@ from entsense import cli, discrimination
 from entsense.cli import SweepConfig, main, parse_grid, run
 from entsense.communication import (
     PhotonTailError,
+    capacity_classical,
+    capacity_ea,
     green_machine_optimize,
     holevo_c2d_cpsk,
+    opar_photon_pmfs,
+    pcr_count_pmfs,
+    shannon_photon_counting,
 )
-from entsense.conversion import QuadratureError
-from entsense.discrimination import p_classical_coherent
+from entsense.conversion import QuadratureError, conversion_params
+from entsense.discrimination import nair_gu_bound, p_c2d, p_classical_coherent
 from entsense.gaussian import ChannelParams
 from entsense.metrology import qfi_c2d, qfi_cs
-from entsense.receivers import pe_heterodyne, pe_homodyne, pe_kennedy
+from entsense.receivers import (
+    DolinarConfig,
+    dolinar_simulate,
+    opar_pe,
+    pcr_pe,
+    pe_heterodyne,
+    pe_homodyne,
+    pe_kennedy,
+)
+from entsense.special import RngStream, sample_scaled_chi2
 
 
 def read_rows(path):
@@ -255,7 +269,8 @@ class TestWorkerCountIndependence:
     @pytest.mark.parametrize(
         "subcommand, settings",
         [(name, TWO_POINT_SWEEPS[name]) for name in cli._SWEEPS]
-        + [("figures", {"options": {"which": which}}) for which in ("2b", "4a", "4b")],
+        # 5a: the sidecar's tolerance is the larger of two integrated cells
+        + [("figures", {"options": {"which": which}}) for which in ("2b", "4a", "4b", "5a")],
     )
     def test_same_bytes_at_one_and_two_workers(self, tmp_path, subcommand, settings):
         outputs = []
@@ -634,9 +649,101 @@ class TestFigurePresets:
         columns, tasks = cli._plan(config)
         assert columns[0] == first_column
         assert len(tasks) == n_tasks
-        rows = {t[0] for t in tasks}
-        assert rows == {getattr(cli, f"_fig{which}_row")}
-        assert [t[2] for t in tasks] == list(range(n_tasks))
+        assert [t[1] for t in tasks] == list(range(n_tasks))
+
+    @pytest.mark.parametrize("which", ["2a", "3a", "5a", "7a", "7c"])
+    def test_heavy_preset_first_row(self, which):
+        # task 0 of each preset the plan test does not run, cell by cell
+        # against direct library calls
+        config = SweepConfig(subcommand="figures", options={"which": which})
+        columns, tasks = cli._plan(config)
+        row, achieved = cli._run_task(tasks[0])
+        want, want_achieved = _first_preset_row(which, config.quad_tol, config.seed)
+        assert len(row) == len(columns) == len(want)
+        for column, cell, expected in zip(columns, row, want):
+            assert cell == expected, column
+        assert achieved == want_achieved
+
+    def test_every_cell_name_resolves(self):
+        # a misspelt cell would raise KeyError, which no run catches
+        configs = [SweepConfig(name) for name in cli._SWEEPS]
+        configs += [SweepConfig("figures", options={"which": w}) for w in cli._PRESETS]
+        for config in configs:
+            sweep = cli._sweep(config)
+            axes = {cli._AXIS_VALUES.get(name, name) for name in sweep.axes(config)}
+            known = {*cli._CELLS, *sweep.fixed, *config.options, *axes}
+            assert set(sweep.cells) <= known, config
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of each call to the counted cli names, by name."""
+        counted = {}
+        for name in ("lemma1_upper_bound", "p_c2d", "p_classical_coherent"):
+            def count(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                counted.setdefault(_name, []).append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, count)
+        return counted
+
+    def test_2a_computes_no_unwritten_cell(self, calls):
+        config = SweepConfig(subcommand="figures", options={"which": "2a"})
+        cli._run_task(cli._plan(config)[1][0])
+        assert "lemma1_upper_bound" not in calls
+        assert len(calls["p_c2d"]) == len(calls["p_classical_coherent"]) == 1
+
+    def test_3a_ratio_reuses_its_cells(self, calls, monkeypatch):
+        # the search stubbed to its answer, so only the row's cells call
+        ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
+        m = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        calls.clear()
+        monkeypatch.setattr(cli, "_mode_count_for_classical_level", lambda *args: m)
+        config = SweepConfig(subcommand="figures", options={"which": "3a"})
+        row, _ = cli._run_task(cli._plan(config)[1][0])
+        assert row[2] == m
+        assert [args[2] for args in calls["p_c2d"]] == [m]
+        assert [args[2] for args in calls["p_classical_coherent"]] == [m]
+
+
+def _first_preset_row(which, tol, seed):
+    """Row 0 of a figures preset and its achieved quadrature tolerance,
+    from the library calls behind each column."""
+    if which in ("2a", "7a"):
+        ns, m, ch = 1e-3, 100_000, ChannelParams(kappa=0.01, theta=0.0, n_b=20.0)
+        value, achieved = p_c2d(ns, ch, m, tol, with_achieved=True)
+        if which == "2a":
+            return [m, value, nair_gu_bound(ns, ch, m), p_classical_coherent(ns, ch, m)], achieved
+        # the Dolinar rates at the row's own streams: 2 * index and 1000 + 16 * index + rep
+        params = conversion_params(ns, ch)
+        amps = sample_scaled_chi2(m, params.xi, RngStream(seed, 0).generator(), size=8)
+        cfg = DolinarConfig(slices=100, trials=2_000, noise_nb=params.e_noise)
+        rates = np.array(
+            [
+                dolinar_simulate(math.sqrt(x), cfg, RngStream(seed, 1_000 + rep))[0]
+                for rep, x in enumerate(amps)
+            ]
+        )
+        dolinar = [float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(8))]
+        homodyne = pe_homodyne(math.sqrt(0.01 * m * ns / 41.0))
+        return [m, value, *dolinar, pcr_pe(ns, ch, m), opar_pe(ns, ch, m), homodyne], achieved
+    if which == "3a":
+        ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
+        m = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        benchmark = p_classical_coherent(ns, ch, m)
+        assert benchmark <= 0.05 < p_classical_coherent(ns, ch, m - 1)
+        value, achieved = p_c2d(ns, ch, m, tol, with_achieved=True)
+        return [ns, 0.1, m, value, benchmark, value / benchmark], achieved
+    ns, ch = 1e-4, ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
+    capacities = [ns, capacity_classical(ns, ch), capacity_ea(ns, ch)]
+    chi_10k, achieved = holevo_c2d_cpsk(ns, ch, 10_000, tol, with_achieved=True)
+    if which == "5a":
+        chi_1, achieved_1 = holevo_c2d_cpsk(ns, ch, 1, tol, with_achieved=True)
+        return [*capacities, chi_1, chi_10k], max(achieved_1, achieved)
+    rates = [
+        shannon_photon_counting(*pmfs(ns, ch, 1_000, (0.0, math.pi))) / 1_000
+        for pmfs in (opar_photon_pmfs, pcr_count_pmfs)
+    ]
+    return [*capacities, chi_10k, *green_machine_optimize(ns, ch, tol), *rates], achieved
 
 
 class TestModeCountBisection:
