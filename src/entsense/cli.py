@@ -287,7 +287,8 @@ def _chi_cpsk(p: _Point, m: int) -> float:
 
 
 def _mode_count_for_classical_level(ns, ch, level):
-    """Smallest m at which the coherent-state Helstrom error is <= level.
+    """Smallest m at which the coherent-state Helstrom error is <= level,
+    and that error (``None`` where no solve was needed).
 
     The error depends on m only through a = kappa m n_s, and the quantum
     Chernoff bound Q = exp(-c a), c = (sqrt(n_b+1) - sqrt(n_b))^2, brackets
@@ -298,7 +299,7 @@ def _mode_count_for_classical_level(ns, ch, level):
     import scipy.optimize  # at module level it slows `import entsense.cli`
 
     if level >= 0.5:  # P(a) <= 1/2 at every a
-        return 1
+        return 1, None
     a1 = ch.kappa * ns
     if not (level > 0.0 and a1 > 0.0):
         raise ValueError(
@@ -307,8 +308,9 @@ def _mode_count_for_classical_level(ns, ch, level):
     c = (math.sqrt(ch.n_b + 1.0) - math.sqrt(ch.n_b)) ** 2
     lo = math.log(0.25 / level) / (2.0 * c)
     if lo <= a1:  # the bracket reaches down to m = 1
-        if p_classical_coherent(ns, ch, 1) <= level:
-            return 1
+        error = p_classical_coherent(ns, ch, 1)
+        if error <= level:
+            return 1, error
         lo = a1
     hi = math.log(0.5 / level) / c
     root = scipy.optimize.brentq(
@@ -318,10 +320,23 @@ def _mode_count_for_classical_level(ns, ch, level):
         xtol=0.25 * a1,
     )
     m = math.ceil(root / a1)
-    while p_classical_coherent(ns, ch, m) > level:
+    error = p_classical_coherent(ns, ch, m)
+    while error > level:
         m += 1
-    while m > 1 and p_classical_coherent(ns, ch, m - 1) <= level:
-        m -= 1
+        error = p_classical_coherent(ns, ch, m)
+    while m > 1:
+        below = p_classical_coherent(ns, ch, m - 1)
+        if below > level:
+            break
+        m, error = m - 1, below
+    return m, error
+
+
+def _searched_mode_count(p: _Point) -> int:
+    """The ``m`` cell's search; its check at m seeds ``p_cs_helstrom``."""
+    m, error = _mode_count_for_classical_level(p["ns"], p["channel"], 0.05)
+    if error is not None:
+        p["p_cs_helstrom"] = error
     return m
 
 
@@ -373,7 +388,7 @@ _CELLS: dict[str, Callable[[_Point], Any]] = {
     "channel": lambda p: ChannelParams(p["kappa"], p.get("theta", 0.0), p["nb"]),
     # m where no axis or fixed value gives it (preset 3a): the smallest mode
     # count at which the coherent-state benchmark's error reaches 0.05
-    "m": lambda p: _mode_count_for_classical_level(p["ns"], p["channel"], 0.05),
+    "m": _searched_mode_count,
     "p_c2d": lambda p: p.integrated(p_c2d(*p.args, p.config.quad_tol, with_achieved=True)),
     "nair_gu_lower": lambda p: nair_gu_bound(*p.args),
     "lemma1_upper": lambda p: lemma1_upper_bound(*p.args),

@@ -12,12 +12,16 @@ Priors are 1/2 throughout the target-detection paths.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from . import _check_inputs
 from .conversion import (
@@ -56,9 +60,10 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # _coherent_helstrom_error solves on the band when the cutoff is at least
 # this many band widths (through the last odd diagonal); below that the
-# dense half-size SVD is faster.  On 2 cores the two cost the same near
-# 20 widths, at one BLAS thread and at two.
-_BAND_SOLVE_RATIO = 20
+# dense half-size SVD is faster.  On 2 cores, in alternating pairs at one
+# BLAS thread and at two, the two cost the same near 13 widths; the band
+# won at every point measured from 14 (1.0-1.9x there, 2-3x near 20).
+_BAND_SOLVE_RATIO = 14
 
 
 def _golden_section_min(
@@ -268,8 +273,11 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
     Discriminates a thermal state of occupation ``n_b`` from the same
     thermal state displaced by ``sqrt(kappa m n_s)`` (the full transmitted
     energy concentrated in one mode): the single-mode test that ``p_c2d``
-    averages, at the one node ``x = kappa m n_s``, solved by the banded
-    parity split of :func:`_coherent_helstrom_error`.  The result lies in
+    averages, at the one node ``x = kappa m n_s``, solved by the parity
+    split of :func:`_coherent_helstrom_error`: the singular values of one
+    half-size block, taken from its band by LAPACK's banded
+    bidiagonalization and dqds where the band is narrow (as at Fig. 2a's
+    ``n_b = 20``), by one dense SVD otherwise.  The result lies in
     ``[0, 1/2]``.  Truncation at the cutoff ``recommended_dim(kappa m n_s,
     n_b)`` overstates it by at most about 1.5e-11 absolute, at the smallest
     cutoffs (15 levels near ``(kappa m n_s, n_b) = (0.01, 0.24)``), and by
@@ -301,40 +309,138 @@ def _coherent_helstrom_error(amp_sq: float, n_b: float) -> float:
     most 1e-17 per triangle, which bounds their nuclear norm by 2e-17 and
     so moves the error by at most 1e-17.  Rounding adds about 1e-14.
 
-    Solvers: the matrix that keeps only the band's odd diagonals holds
-    exactly the entries of ``B`` and ``B^T``, so its eigenvalues are
-    ``+-sigma(B)``.  Where the band through its last odd diagonal is no
-    wider than ``1/_BAND_SOLVE_RATIO`` of the cutoff, that banded symmetric
-    eigenproblem is solved; a wider band is scattered into a dense ``B``
-    for one half-size singular-value solve.
+    Solvers: the band's odd diagonals hold ``B`` as a band matrix, stored
+    once by :func:`_parity_band`.  Where the band through its last odd
+    diagonal is no wider than ``1/_BAND_SOLVE_RATIO`` of the cutoff, LAPACK
+    reduces that storage to bidiagonal form and takes its singular values
+    by dqds (:func:`_band_singular_values`), in work linear in the band
+    width; a wider band is expanded into a dense ``B``
+    (:func:`_parity_block`) for one half-size singular-value solve.  The
+    two agree on ``sum sigma(B)`` to about 1e-16.
     """
     dim = recommended_dim(amp_sq, n_b)
     band = _displaced_thermal_band(0.25 * amp_sq, n_b, dim)
     _check_truncation(band[0], amp_sq, n_b)
-    odd = np.zeros((len(band) // 2 * 2, dim))  # through the last odd diagonal
-    odd[1::2] = band[1 : len(odd) : 2]
-    if _BAND_SOLVE_RATIO * len(odd) <= dim:
-        lam = scipy.linalg.eig_banded(odd, lower=True, eigvals_only=True)
-        sigma_sum = 0.5 * float(np.sum(np.abs(lam)))
+    if _BAND_SOLVE_RATIO * (len(band) // 2 * 2) <= dim:
+        sigma = _band_singular_values(*_parity_band(band), (dim + 1) // 2)
     else:
-        sigma = np.linalg.svd(_parity_block(odd), compute_uv=False)
-        sigma_sum = float(np.sum(sigma))
-    return max(0.5 - sigma_sum, 0.0)
+        sigma = np.linalg.svd(_parity_block(band), compute_uv=False)
+    return max(0.5 - float(np.sum(sigma)), 0.0)
+
+
+def _parity_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The even-row, odd-column block ``B[i, j] = rho[2i, 2j+1]`` of the
+    symmetric matrix with lower band ``band``, in LAPACK general-band
+    storage: ``(ab, kl, ku)`` with ``ab[j, ku + i - j] = B[i, j]``, one row
+    of ``ab`` per column of ``B`` (so ``ab`` is the column-major
+    ``(kl + ku + 1, n)`` array LAPACK reads).
+
+    ``B`` is ``(dim+1)//2 x dim//2``.  An entry of ``B`` on its diagonal
+    ``i - j = d`` is ``rho`` on the odd diagonal ``2d - 1`` below (``d >= 1``)
+    or ``-2d + 1`` above (``d <= 0``), so with ``kmax`` the last odd
+    diagonal of ``band``, ``kl = (kmax + 1)/2`` and ``ku = (kmax - 1)/2``.
+    """
+    dim = band.shape[1]
+    odd = band[1 : len(band) // 2 * 2 : 2]  # diagonals 1, 3, .., kmax
+    kl = len(odd)
+    ku = kl - 1
+    n = dim // 2
+    ab = np.zeros((n, kl + ku + 1))
+    ab[:, ku + 1 :] = odd[:, 1::2].T  # B[j + d, j] = rho[2j + 2d, 2j + 1]
+    for d in range(kl):  # B[j - d, j] = rho[2j + 1, 2j - 2d]
+        ab[d:, ku - d] = odd[d, 0 : 2 * (n - d) : 2]
+    return ab, kl, ku
 
 
 def _parity_block(band: np.ndarray) -> np.ndarray:
     """Dense even-row, odd-column block of the symmetric matrix with lower
-    band ``band``: ``rho[n+k, n]`` for odd ``k`` lands at its even index's
-    half (row) and its odd index's half (column)."""
-    dim = band.shape[1]
-    block = np.zeros(((dim + 1) // 2, dim // 2))
-    for k in range(1, len(band), 2):
-        n = np.arange(dim - k)
-        odd_n = n % 2 == 1
-        rows = np.where(odd_n, n + k, n) // 2
-        cols = np.where(odd_n, n, n + k) // 2
-        block[rows, cols] = band[k, : dim - k]
+    band ``band``: the storage of :func:`_parity_band`, expanded."""
+    ab, _, ku = _parity_band(band)
+    j, r = np.nonzero(ab)  # the storage outside B holds zeros only
+    block = np.zeros(((band.shape[1] + 1) // 2, len(ab)))
+    block[j + r - ku, j] = ab[j, r]
     return block
+
+
+# Argument types of the LAPACK routines scipy exports only as Cython
+# capsules: c for char *, i for int *, d for double *.  The last argument
+# of each is its ``info``.
+_LAPACK_ARGS = {"dgbbrd": "ciiiiididddidididi", "dlasq1": "idddi"}
+_C_TYPES = {
+    "c": ("char *", ctypes.c_char_p),
+    "i": ("int *", ctypes.POINTER(ctypes.c_int)),
+    "d": ("double *", ctypes.POINTER(ctypes.c_double)),
+}
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _bind_lapack(name: str, capsule):
+    """ctypes function behind the ``cython_lapack`` capsule of ``name``,
+    after checking the capsule's C signature against ``_LAPACK_ARGS``.
+
+    Raises ``RuntimeError`` on a mismatch, so no call goes through a wrong
+    prototype.
+    """
+    codes = _LAPACK_ARGS[name]
+    want = "void (" + ", ".join(_C_TYPES[c][0] for c in codes) + ")"
+    signature = _CAPSULE_NAME(capsule)
+    # Cython names the double typedef __pyx_t_<module>_d
+    got = re.sub(r"\w+_d \*", "double *", (signature or b"").decode())
+    if got != want:
+        raise RuntimeError(f"LAPACK {name} has the signature {got!r}, not {want!r}")
+    prototype = ctypes.CFUNCTYPE(None, *(_C_TYPES[c][1] for c in codes))
+    return prototype(_CAPSULE_POINTER(capsule, signature))
+
+
+@functools.cache
+def _lapack(name: str):
+    """``name`` from ``scipy.linalg.cython_lapack``, bound once per process."""
+    return _bind_lapack(name, cython_lapack.__pyx_capi__[name])
+
+
+def _call_lapack(name: str, *args) -> None:
+    """Call the LAPACK routine ``name`` with ``args`` (bytes, ints and
+    float64 arrays, by ``_LAPACK_ARGS``; ``info`` is appended) and raise
+    ``numpy.linalg.LinAlgError`` on a non-zero ``info``."""
+
+    def pointer(code, arg):
+        if code == "i":
+            return ctypes.byref(ctypes.c_int(arg))
+        if code == "d":
+            return arg.ctypes.data_as(_C_TYPES["d"][1])
+        return arg
+
+    info = ctypes.c_int()
+    _lapack(name)(*map(pointer, _LAPACK_ARGS[name], args), ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"LAPACK {name} returned info = {info.value}")
+
+
+def _band_singular_values(ab: np.ndarray, kl: int, ku: int, m: int) -> np.ndarray:
+    """Singular values of the ``m x n`` matrix (``m >= n = len(ab)``) held in
+    the general-band storage ``ab`` of :func:`_parity_band`, by Kaufman's
+    banded bidiagonalization (LAPACK ``dgbbrd``) and Fernando-Parlett dqds
+    (``dlasq1``).  Overwrites ``ab``.
+
+    A band holding an infinity or a NaN raises ``ValueError`` before LAPACK
+    sees it, as ``check_finite`` does in ``scipy.linalg``.
+    """
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = len(ab)
+    d, e, work = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(2 * m, 4 * n))
+    unused = np.empty(1)  # Q, P^T and C: not formed
+    _call_lapack(
+        "dgbbrd", b"N", m, n, 0, kl, ku, ab, kl + ku + 1, d, e,
+        unused, 1, unused, 1, unused, 1, work,
+    )
+    _call_lapack("dlasq1", n, d, e, work)
+    return d
 
 
 def nair_gu_bound(n_s: float, ch: ChannelParams, m: int) -> float:

@@ -136,17 +136,33 @@ def _laguerre_columns(x: np.ndarray, e: float, n_rows: int, n_diags: int):
     qq = q * q
     s = x / (e + 1.0) ** 2
     k = np.arange(n_diags)
-    root = np.sqrt(np.arange(n_rows + 1.0))
+    # the step's constants, in its operation order: (2n+1) q + s per row,
+    # q k, and on the rows before `full`, which run at the full width, the
+    # tables root[n] root[n + k] and (qq root[n]) root[n + k]; the tail rows
+    # form their (shrinking) products one row at a time
+    lin = ((2 * np.arange(n_rows) + 1) * q)[:, None, None] + s
+    qk = q * k
+    root = np.sqrt(np.arange(n_rows + n_diags + 1.0))
+    windows = np.lib.stride_tricks.sliding_window_view(root, n_diags)
+    full = max(n_rows - n_diags + 1, 0)
+    roots = root[: full + 1, None] * windows[: full + 1]
+    q_roots = (qq * root[: full + 1])[:, None] * windows[: full + 1]
     cur, exp2 = _diagonal_start(x, e, k)
     prev = np.zeros_like(cur)
     for n in range(n_rows):
-        width = min(n_diags, n_rows - n)
-        cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
+        if n < full:
+            q_roots_n, roots_next = q_roots[n], roots[n + 1]
+        else:  # one diagonal fewer each row
+            width = n_rows - n
+            cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
+            qk = qk[:width]
+            q_roots_n = (qq * root[n]) * windows[n, :width]
+            roots_next = root[n + 1] * windows[n + 1, :width]
         yield np.ldexp(cur, exp2)
-        nxt = ((2 * n + 1) * q + s + q * k[:width]) * cur
+        nxt = (lin[n] + qk) * cur
         if qq:
-            nxt = nxt - (qq * root[n]) * root[n : n + width] * prev
-        nxt, shift = np.frexp(nxt / (root[n + 1] * root[n + 1 : n + 1 + width]))
+            nxt -= q_roots_n * prev
+        nxt, shift = np.frexp(nxt / roots_next)
         if qq:
             prev = np.ldexp(cur, -shift)
         cur, exp2 = nxt, exp2 + shift

@@ -149,7 +149,7 @@ def test_criterion_03_advantage_boundary(tmp_path):
     for ns in (1e-2, 1e-1, 1.0):
         for nb in (10**-1.5, 10**-0.5, 10**0.5):
             ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
-            m = _mode_count_for_classical_level(ns, ch, 0.05)
+            m, _ = _mode_count_for_classical_level(ns, ch, 0.05)
             ratio = p_c2d(ns, ch, m) / p_classical_coherent(ns, ch, m)
             ratios[(ns, nb)] = ratio
             region_ok = region_ok and (ratio <= 1.0) == (ns <= nb)

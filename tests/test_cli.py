@@ -692,17 +692,16 @@ class TestFigurePresets:
         assert "lemma1_upper_bound" not in calls
         assert len(calls["p_c2d"]) == len(calls["p_classical_coherent"]) == 1
 
-    def test_3a_ratio_reuses_its_cells(self, calls, monkeypatch):
-        # the search stubbed to its answer, so only the row's cells call
+    def test_3a_ratio_reuses_its_cells(self, calls):
+        # the search's check at m is the row's p_cs_helstrom: one solve there
         ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
-        m = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        m, error = cli._mode_count_for_classical_level(ns, ch, 0.05)
         calls.clear()
-        monkeypatch.setattr(cli, "_mode_count_for_classical_level", lambda *args: m)
         config = SweepConfig(subcommand="figures", options={"which": "3a"})
         row, _ = cli._run_task(cli._plan(config)[1][0])
-        assert row[2] == m
+        assert row[2] == m and row[4] == error
         assert [args[2] for args in calls["p_c2d"]] == [m]
-        assert [args[2] for args in calls["p_classical_coherent"]] == [m]
+        assert [args[2] for args in calls["p_classical_coherent"]].count(m) == 1
 
 
 def _first_preset_row(which, tol, seed):
@@ -728,9 +727,9 @@ def _first_preset_row(which, tol, seed):
         return [m, value, *dolinar, pcr_pe(ns, ch, m), opar_pe(ns, ch, m), homodyne], achieved
     if which == "3a":
         ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
-        m = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        m, error = cli._mode_count_for_classical_level(ns, ch, 0.05)
         benchmark = p_classical_coherent(ns, ch, m)
-        assert benchmark <= 0.05 < p_classical_coherent(ns, ch, m - 1)
+        assert error == benchmark <= 0.05 < p_classical_coherent(ns, ch, m - 1)
         value, achieved = p_c2d(ns, ch, m, tol, with_achieved=True)
         return [ns, 0.1, m, value, benchmark, value / benchmark], achieved
     ns, ch = 1e-4, ChannelParams(kappa=0.01, theta=0.0, n_b=100.0)
@@ -749,13 +748,22 @@ def _first_preset_row(which, tol, seed):
 class TestModeCountBisection:
     def test_level_is_bracketed(self):
         ch = ChannelParams(kappa=0.01, theta=0.0, n_b=1.0)
-        m_star = cli._mode_count_for_classical_level(0.1, ch, 0.05)
-        assert p_classical_coherent(0.1, ch, m_star) <= 0.05
+        m_star, error = cli._mode_count_for_classical_level(0.1, ch, 0.05)
+        assert p_classical_coherent(0.1, ch, m_star) == error <= 0.05
         assert p_classical_coherent(0.1, ch, m_star - 1) > 0.05
 
-    def test_trivial_level(self):
+    def test_trivial_level(self, solves):
         ch = ChannelParams(kappa=0.5, theta=0.0, n_b=0.1)
-        assert cli._mode_count_for_classical_level(0.5, ch, 0.5) == 1
+        assert cli._mode_count_for_classical_level(0.5, ch, 0.5) == (1, None)
+        assert solves == []
+
+    def test_one_mode_returns_its_check(self, solves):
+        # P(a1) <= level already: the m = 1 shortcut, one solve
+        ch = ChannelParams(kappa=0.5, theta=0.0, n_b=0.1)
+        want = p_classical_coherent(100.0, ch, 1)
+        solves.clear()
+        assert cli._mode_count_for_classical_level(100.0, ch, 0.05) == (1, want)
+        assert len(solves) == 1
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -779,7 +787,7 @@ class TestModeCountBisection:
         ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
         want = _doubling_bisection(ns, ch, 0.05)
         solves.clear()
-        assert cli._mode_count_for_classical_level(ns, ch, 0.05) == want
+        assert cli._mode_count_for_classical_level(ns, ch, 0.05)[0] == want
         assert len(solves) <= 12
 
     def test_no_target_is_unreachable_at_once(self, solves):

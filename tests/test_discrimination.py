@@ -1,17 +1,25 @@
+import ctypes
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cython_lapack
 
+from entsense import discrimination
 from entsense.conversion import conversion_params
 from entsense.discrimination import (
     PatternHypothesis,
     _BAND_SOLVE_RATIO,
+    _band_singular_values,
+    _bind_lapack,
     _coherent_helstrom_error,
     _helstrom_error,
+    _parity_band,
     _parity_block,
     c2d_exponent_bounds,
     helstrom_numeric,
@@ -299,6 +307,108 @@ def test_parity_block_is_the_dense_block_on_the_band(x, e, dim):
     offset = np.subtract.outer(np.arange(dim), np.arange(dim))
     kept = np.where(np.abs(offset) < len(band), rho, 0.0)
     assert np.array_equal(_parity_block(band), kept[0::2, 1::2])
+
+
+def _lower_band(rho, width):
+    """LAPACK lower band storage of the first ``width`` diagonals of ``rho``."""
+    dim = len(rho)
+    band = np.zeros((width, dim))
+    for k in range(width):
+        band[k, : dim - k] = np.diagonal(rho, -k)
+    return band
+
+
+def _band_sigma(band):
+    """Singular values of the band's parity block, by the band solver."""
+    return _band_singular_values(*_parity_band(band), (band.shape[1] + 1) // 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    n_b=st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+    # (dim, width): odd and even cutoffs, bands from 2 diagonals to all
+    shape=st.integers(2, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))),
+)
+@example(x=5.0, n_b=0.0, shape=(2, 2))
+@example(x=5.0, n_b=0.0, shape=(41, 41))
+def test_band_svd_matches_eig_banded_and_dense_svd(x, n_b, shape):
+    # the oracles are the routes the band solver replaced or stands beside:
+    # eig_banded on the odd diagonals (eigenvalues +-sigma, and one 0 when
+    # dim is odd) and the SVD of the dense block
+    dim, width = shape
+    band = _lower_band(displaced_thermal_matrix(x, n_b, dim), width)
+    got = np.sort(_band_sigma(band))
+    dense = np.sort(np.linalg.svd(_parity_block(band), compute_uv=False))
+    odd = np.zeros((width // 2 * 2, dim))
+    odd[1::2] = band[1 : len(odd) : 2]
+    lam = scipy.linalg.eig_banded(odd, lower=True, eigvals_only=True)
+    assert got.shape == (dim // 2,)
+    assert np.all(got >= 0.0)
+    assert_allclose(got, dense, rtol=0, atol=1e-15)
+    assert abs(np.sum(got) - 0.5 * np.sum(np.abs(lam))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "x, n_b, dim",
+    [(3.0, 0.5, 20), (0.7, 2.0, 30), (5.0, 0.0, 30), (0.0025, 0.24, 15), (2.0, 1e-3, 25)],
+)
+def test_band_svd_matches_mpmath(x, n_b, dim):
+    # svd_r at 40 digits on the same floating-point block
+    band = _displaced_thermal_band(x, n_b, dim)
+    block = _parity_block(band)
+    with mpmath.workdps(40):
+        want = mpmath.svd_r(mpmath.matrix(block.tolist()), compute_uv=False)
+        want = np.sort(np.array([float(v) for v in want]))
+    got = np.sort(_band_sigma(band))
+    assert_allclose(got, want, rtol=0, atol=2e-16)
+    assert abs(np.sum(got) - math.fsum(want)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_band_solver_rejects_a_non_finite_band_quietly(capfd, bad):
+    # LAPACK's own argument check would print to stderr and return NaN
+    band = _displaced_thermal_band(2.5, 20.0, 100)
+    band[1, 7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_sigma(band)
+    assert capfd.readouterr().err == ""
+
+
+def test_band_solver_raises_on_lapack_info(monkeypatch):
+    # a routine that reports failure, as dlasq1 does when dqds stalls
+    def failing(*args):
+        args[-1]._obj.value = 2
+
+    bound = discrimination._lapack
+    monkeypatch.setattr(
+        discrimination, "_lapack", lambda name: failing if name == "dlasq1" else bound(name)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="dlasq1 returned info = 2"):
+        _band_sigma(_displaced_thermal_band(2.5, 20.0, 100))
+
+
+class TestLapackSignatureGuard:
+    capsules = cython_lapack.__pyx_capi__
+
+    @pytest.mark.parametrize("name", ["dgbbrd", "dlasq1"])
+    def test_binds_scipys_routines(self, name):
+        assert callable(_bind_lapack(name, self.capsules[name]))
+
+    def test_rejects_another_routines_capsule(self):
+        # 5 arguments where dgbbrd takes 18
+        with pytest.raises(RuntimeError, match="dgbbrd has the signature"):
+            _bind_lapack("dgbbrd", self.capsules["dlasq1"])
+
+    def test_rejects_a_wrong_argument_type(self):
+        # dlasq1's arity with a double * where its n is an int *
+        new = ctypes.PYFUNCTYPE(
+            ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+        )(("PyCapsule_New", ctypes.pythonapi))
+        name = b"void (double *, double *, double *, double *, int *)"
+        capsule = new(1, name, None)  # never called; the name outlives it
+        with pytest.raises(RuntimeError, match="dlasq1 has the signature"):
+            _bind_lapack("dlasq1", capsule)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -384,6 +384,68 @@ def test_pmf_walk_equals_laguerre_column(xs, e, n):
         assert list(itertools.islice(walk, n)) == [col[0, 0] for col in column]
 
 
+def _frozen_laguerre_columns(x, e, n_rows, n_diags):
+    """The recurrence loop of ``fockstates._laguerre_columns`` before its
+    per-row constants were hoisted into tables, kept as the bit-for-bit
+    reference."""
+    x = x[:, None]
+    q = e / (e + 1.0)
+    qq = q * q
+    s = x / (e + 1.0) ** 2
+    k = np.arange(n_diags)
+    root = np.sqrt(np.arange(n_rows + 1.0))
+    cur, exp2 = fockstates._diagonal_start(x, e, k)
+    prev = np.zeros_like(cur)
+    for n in range(n_rows):
+        width = min(n_diags, n_rows - n)
+        cur, prev, exp2 = cur[:, :width], prev[:, :width], exp2[:, :width]
+        yield np.ldexp(cur, exp2)
+        nxt = ((2 * n + 1) * q + s + q * k[:width]) * cur
+        if qq:
+            nxt = nxt - (qq * root[n]) * root[n : n + width] * prev
+        nxt, shift = np.frexp(nxt / (root[n + 1] * root[n + 1 : n + 1 + width]))
+        if qq:
+            prev = np.ldexp(cur, -shift)
+        cur, exp2 = nxt, exp2 + shift
+
+
+def _assert_same_columns(xs, e, n_rows, n_diags):
+    got = list(fockstates._laguerre_columns(np.array(xs), e, n_rows, n_diags))
+    want = list(_frozen_laguerre_columns(np.array(xs), e, n_rows, n_diags))
+    assert len(got) == len(want) == n_rows
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "xs, e, n_rows, n_diags",
+    [
+        ([2.225e-309, 5e-324, 0.0, 3.0], 0.0, 40, 40),  # E = 0, subnormal x
+        ([0.0], 0.7, 50, 50),  # thermal: only diagonal 0 is nonzero
+        ([0.0, 0.0], 0.0, 12, 12),  # the vacuum
+        (np.linspace(0.0, 20.0, 33), 0.5, 89, 89),  # a p_c2d node block, dense
+        ([0.025], 20.0, 573, 68),  # Fig. 2a band: 506 full rows, 67 tail rows
+        ([14.2], 10.0, 571, 140),
+        ([62.5], 1.0, 716, 381),
+    ],
+)
+def test_hoisted_laguerre_columns_are_the_frozen_loop_bit_for_bit(xs, e, n_rows, n_diags):
+    _assert_same_columns(xs, e, n_rows, n_diags)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=4),
+    e=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+    # (rows, diagonals): dense, bands whose tail rows shrink, and more
+    # diagonals than rows
+    shape=st.integers(1, 120).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r + 2))),
+)
+def test_hoisted_laguerre_columns_match_the_frozen_loop(xs, e, shape):
+    _assert_same_columns(xs, e, *shape)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     amp_sq=st.one_of(st.just(0.0), st.floats(1e-5, 300.0)),
