@@ -31,7 +31,6 @@ from .conversion import (
     expect_total_displacement,
 )
 from .fockstates import (
-    _NODE_BLOCK_BYTES,
     DisplacedThermal,
     FockMatrix,
     _check_truncation,
@@ -64,6 +63,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # BLAS thread and at two, the two cost the same near 13 widths; the band
 # won at every point measured from 14 (1.0-1.9x there, 2-3x near 20).
 _BAND_SOLVE_RATIO = 14
+# Upper bound on the bytes of one stack of per-node displaced thermal
+# matrices; the stack lives in every forked CLI worker.
+_NODE_BLOCK_BYTES = 2**21
 
 
 def _golden_section_min(

@@ -28,9 +28,6 @@ __all__ = [
     "to_fock",
 ]
 
-# Upper bound on the bytes of one stack of per-node displaced thermal
-# matrices; the stack lives in every forked CLI worker.
-_NODE_BLOCK_BYTES = 2**21
 # Largest trace deficit a truncated Fock matrix may leave by default.
 _TAIL_TOL = 1e-9
 # Largest one-triangle entry sum _displaced_thermal_band drops past its
@@ -243,7 +240,7 @@ def _check_truncation(
         )
 
 
-def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = 1e-9) -> int:
+def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = _TAIL_TOL) -> int:
     """Photon-number cutoff covering a displaced thermal state's support.
 
     Starts from ``ceil(|alpha|^2 + E + 8 sqrt(|alpha|^2 + E + 1)) + 4``,

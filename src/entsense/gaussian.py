@@ -24,7 +24,6 @@ __all__ = [
     "tmsv",
     "apply_channel",
     "condition_on_generaldyne",
-    "generaldyne_outcome_density",
     "williamson",
 ]
 
@@ -87,20 +86,6 @@ class GaussianState:
     def complex_means(self) -> np.ndarray:
         """Mode amplitudes ``alpha_k = (<q_k> + i <p_k>) / 2``."""
         return (self.mean[0::2] + 1j * self.mean[1::2]) / 2.0
-
-    def to_json(self) -> dict:
-        """JSON-serializable dict (mean array, row-major covariance array)."""
-        return {
-            "num_modes": int(self.num_modes),
-            "mean": self.mean.tolist(),
-            "cov": self.cov.reshape(-1).tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaussianState":
-        k = int(data["num_modes"])
-        cov = np.asarray(data["cov"], dtype=float).reshape(2 * k, 2 * k)
-        return cls(k, np.asarray(data["mean"], dtype=float), cov)
 
 
 @dataclass(frozen=True)
@@ -204,24 +189,6 @@ def _partition(
     return _quad_indices(kept), _quad_indices(measured)
 
 
-def _meas_gram(
-    state: GaussianState, idx_b: np.ndarray, meas_cov, outcome
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    v_pi = np.asarray(meas_cov, dtype=float)
-    nb = idx_b.size
-    if v_pi.shape != (nb, nb):
-        raise ValueError(f"meas_cov must be {nb}x{nb}")
-    outcome = np.asarray(outcome, dtype=float).reshape(-1)
-    if outcome.shape != (nb,):
-        raise ValueError(f"outcome must have length {nb}")
-    gram = state.cov[np.ix_(idx_b, idx_b)] + v_pi
-    try:
-        cho = scipy.linalg.cho_factor(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - physical states
-        raise ValueError("V_B + meas_cov is singular") from exc
-    return outcome, gram, cho
-
-
 def condition_on_generaldyne(
     state: GaussianState,
     measured_modes: Iterable[int],
@@ -239,34 +206,22 @@ def condition_on_generaldyne(
     idx_a, idx_b = _partition(state, measured_modes)
     if idx_a.size == 0:
         raise ValueError("at least one mode must remain unmeasured")
-    outcome, _, cho = _meas_gram(state, idx_b, meas_cov, outcome)
+    v_pi = np.asarray(meas_cov, dtype=float)
+    if v_pi.shape != (idx_b.size, idx_b.size):
+        raise ValueError(f"meas_cov must be {idx_b.size}x{idx_b.size}")
+    outcome = np.asarray(outcome, dtype=float).reshape(-1)
+    if outcome.shape != (idx_b.size,):
+        raise ValueError(f"outcome must have length {idx_b.size}")
+    try:
+        cho = scipy.linalg.cho_factor(state.cov[np.ix_(idx_b, idx_b)] + v_pi)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("V_B + meas_cov is singular") from exc
     v_a = state.cov[np.ix_(idx_a, idx_a)]
     v_ab = state.cov[np.ix_(idx_a, idx_b)]
     gain = scipy.linalg.cho_solve(cho, v_ab.T).T
     cov = v_a - gain @ v_ab.T
     mean = state.mean[idx_a] + gain @ (outcome - state.mean[idx_b])
     return GaussianState(idx_a.size // 2, mean, 0.5 * (cov + cov.T))
-
-
-def generaldyne_outcome_density(
-    state: GaussianState,
-    measured_modes: Iterable[int],
-    meas_cov,
-    outcome,
-) -> float:
-    """Probability density of a general-dyne outcome on the measured modes.
-
-    The outcome is Gaussian with covariance ``V_B + V_Pi`` around ``x_B``:
-    ``p = exp(-(x - x_B)^T (V_B+V_Pi)^{-1} (x - x_B) / 2)
-    / ((2 pi)^{K_B} sqrt(det(V_B + V_Pi)))``.
-    """
-    _, idx_b = _partition(state, measured_modes)
-    outcome, gram, cho = _meas_gram(state, idx_b, meas_cov, outcome)
-    delta = outcome - state.mean[idx_b]
-    quad = float(delta @ scipy.linalg.cho_solve(cho, delta))
-    _, logdet = np.linalg.slogdet(gram)
-    k_b = idx_b.size // 2
-    return math.exp(-0.5 * quad - 0.5 * logdet - k_b * math.log(2.0 * math.pi))
 
 
 def williamson(cov: np.ndarray) -> SymplecticDecomposition:

@@ -2,11 +2,11 @@
 
 Closed-form error probabilities for homodyne, heterodyne and Kennedy
 detection of vacuum versus a coherent state, a Monte-Carlo Dolinar receiver
-(noiseless, and with thermal noise handled by P-function sampling), photon
-sampling from displaced thermal states, and the per-copy count models of
-the parametric-amplifier (OPAR) and phase-conjugate (PCR) receivers, which
-give their Gaussian-approximation target-detection error probabilities
-here and their Fisher information and count pmfs elsewhere.
+(noiseless, and with thermal noise handled by P-function sampling), and
+the per-copy count models of the parametric-amplifier (OPAR) and
+phase-conjugate (PCR) receivers, which give their Gaussian-approximation
+target-detection error probabilities here and their Fisher information and
+count pmfs elsewhere.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _check_inputs
-from .fockstates import DisplacedThermal, dephased_pmf
+from .fockstates import dephased_pmf
 from .gaussian import ChannelParams
 from .special import RngStream
 
 __all__ = [
     "DolinarConfig",
-    "displaced_thermal_sample_photons",
     "dolinar_simulate",
     "opar_pe",
     "pcr_pe",
@@ -117,6 +116,16 @@ def _wilson_stderr(errors: int, trials: int) -> float:
     return half / shrink
 
 
+def _thermal_kick(gen: np.random.Generator, e_noise: float, n: int) -> np.ndarray:
+    """``n`` draws from the positive P-function of a thermal state of mean
+    occupation ``e_noise``: complex amplitudes with ``|r|^2`` exponential of
+    mean ``e_noise`` and uniform phase.  A Poisson count of mean
+    ``|alpha + r|^2`` then follows ``photon_pmf(DisplacedThermal(alpha,
+    e_noise), .)``."""
+    radius = np.sqrt(gen.exponential(e_noise, size=n))
+    return radius * np.exp(2j * np.pi * gen.random(n))
+
+
 def _dolinar_batch(
     amp: float, cfg: DolinarConfig, gen: np.random.Generator, n: int
 ) -> int:
@@ -132,10 +141,9 @@ def _dolinar_batch(
     h = gen.integers(0, 2, size=n)
     field = np.where(h == 1, amp, 0.0).astype(complex)
     if cfg.noise_nb > 0:
-        # One P-function sample per trial: the thermal part of the true
-        # state is a random coherent displacement shared by every slice.
-        radius = np.sqrt(gen.exponential(cfg.noise_nb, size=n))
-        field += radius * np.exp(2j * np.pi * gen.random(n))
+        # The thermal part of the true state is one random coherent
+        # displacement per trial, shared by every slice.
+        field += _thermal_kick(gen, cfg.noise_nb, n)
     slice_field = field / math.sqrt(s)
 
     e_slice = cfg.noise_nb / s
@@ -243,37 +251,6 @@ def dolinar_simulate(
         errors += _dolinar_batch(amp, cfg, gen, n)
         left -= n
     return errors / cfg.trials, _wilson_stderr(errors, cfg.trials)
-
-
-def displaced_thermal_sample_photons(state: DisplacedThermal, rng, size=None):
-    """Sample photon counts from a displaced thermal state.
-
-    Draws the thermal part from the positive P-function — a coherent
-    displacement ``r`` with ``|r|^2`` exponential of mean ``state.e_noise``
-    and uniform phase — then a Poisson count of mean ``|alpha + r|^2``.
-    The marginal law is ``photon_pmf(state, n)``.
-
-    Parameters
-    ----------
-    state : DisplacedThermal
-        State to sample from.
-    rng : numpy.random.Generator or RngStream
-        Source of randomness.
-    size : int, optional
-        When given, return that many independent samples as an array.
-
-    Returns
-    -------
-    int or ndarray of int
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n = 1 if size is None else int(size)
-    mean = np.full(n, state.alpha, dtype=complex)
-    if state.e_noise > 0:
-        radius = np.sqrt(gen.exponential(state.e_noise, size=n))
-        mean += radius * np.exp(2j * np.pi * gen.random(n))
-    counts = gen.poisson(np.abs(mean) ** 2)
-    return int(counts[0]) if size is None else counts
 
 
 def _opar_counts(

@@ -25,6 +25,14 @@ __all__ = [
 ]
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a finite,
+    nonnegative integer of any numeric type (``1.5`` is not truncated)."""
+    if not (0 <= value < math.inf and value == int(value)):
+        raise ValueError(f"{name} must be a nonnegative integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based splittable random stream.
@@ -46,14 +54,15 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.root_seed) < 2**64:
+        seed = _index(self.root_seed, "root_seed")
+        if seed >= 2**64:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
-        if int(self.stream_index) < 0:
-            raise ValueError("stream_index must be nonnegative")
+        object.__setattr__(self, "root_seed", seed)
+        object.__setattr__(self, "stream_index", _index(self.stream_index, "stream_index"))
 
     def generator(self) -> np.random.Generator:
         """Return the generator for this stream."""
-        seq = np.random.SeedSequence((int(self.root_seed), int(self.stream_index)))
+        seq = np.random.SeedSequence((self.root_seed, self.stream_index))
         return np.random.Generator(np.random.Philox(seq))
 
     def trial_generator(self, trial: int) -> np.random.Generator:
@@ -65,10 +74,8 @@ class RngStream:
             Nonnegative trial index.  The generator state depends only on
             ``(root_seed, stream_index, trial)``.
         """
-        if int(trial) < 0:
-            raise ValueError("trial must be nonnegative")
         seq = np.random.SeedSequence(
-            (int(self.root_seed), int(self.stream_index), int(trial))
+            (self.root_seed, self.stream_index, _index(trial, "trial"))
         )
         return np.random.Generator(np.random.Philox(seq))
 

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
-import scipy.stats
 from numpy.testing import assert_allclose
 
+from entsense.conversion import conversion_params
 from entsense.gaussian import (
     ChannelParams,
     GaussianState,
     apply_channel,
     condition_on_generaldyne,
-    generaldyne_outcome_density,
     symplectic_form,
     tmsv,
     williamson,
@@ -49,13 +47,6 @@ class TestGaussianState:
     def test_complex_means(self):
         st = GaussianState(1, [2.0, 4.0], np.eye(2))
         assert_allclose(st.complex_means(), [1.0 + 2.0j])
-
-    def test_json_round_trip(self):
-        st = apply_channel(tmsv(0.3), 0, ChannelParams(0.4, 0.9, 1.2))
-        st2 = GaussianState.from_json(st.to_json())
-        assert st2.num_modes == st.num_modes
-        assert_allclose(st2.mean, st.mean, rtol=0, atol=0)
-        assert_allclose(st2.cov, st.cov, rtol=0, atol=0)
 
     def test_immutable(self):
         st = tmsv(0.1)
@@ -174,44 +165,18 @@ class TestConditioning:
         with pytest.raises(ValueError):
             condition_on_generaldyne(self.state, [0, 1], np.eye(4), np.zeros(4))
 
-
-class TestOutcomeDensity:
-    def test_matches_multivariate_normal(self):
-        st = apply_channel(tmsv(0.4), 0, ChannelParams(0.6, 0.3, 2.0))
-        gram = st.cov[:2, :2] + np.eye(2)
-        oracle = scipy.stats.multivariate_normal(mean=[0, 0], cov=gram)
-        for outcome in ([0.0, 0.0], [1.2, -0.7], [4.0, 2.5]):
-            got = generaldyne_outcome_density(st, [0], np.eye(2), outcome)
-            assert_allclose(got, oracle.pdf(outcome), rtol=1e-12)
-
-    def test_normalization_by_quadrature(self):
-        st = apply_channel(tmsv(0.2), 0, ChannelParams(0.5, 0.0, 1.0))
-        sigma = math.sqrt(st.cov[0, 0] + 1.0)
-        val, _ = scipy.integrate.dblquad(
-            lambda p, q: generaldyne_outcome_density(st, [0], np.eye(2), [q, p]),
-            -8 * sigma,
-            8 * sigma,
-            lambda q: -8 * sigma,
-            lambda q: 8 * sigma,
-        )
-        assert_allclose(val, 1.0, atol=1e-8)
-
-    def test_heterodyne_variance(self):
-        n_s, kappa, n_b = 0.3, 0.7, 4.0
-        st = apply_channel(tmsv(n_s), 0, ChannelParams(kappa, 0.0, n_b))
-        # Outcome covariance per quadrature is 2(kappa n_s + n_b + 1).
-        var = 2 * (kappa * n_s + n_b + 1)
-        at0 = generaldyne_outcome_density(st, [0], np.eye(2), [0, 0])
-        assert_allclose(at0, 1.0 / (2 * math.pi * var), rtol=1e-12)
-
-    def test_vacuum_heterodyne(self):
-        st = GaussianState(1, [0.0, 0.0], np.eye(2))
-        got = generaldyne_outcome_density(st, [0], np.eye(2), [0.0, 0.0])
-        assert_allclose(got, 1.0 / (4 * math.pi), rtol=1e-14)
+    def test_rejects_bad_measurement(self):
+        with pytest.raises(ValueError, match="meas_cov must be 2x2"):
+            condition_on_generaldyne(self.state, [0], np.eye(4), [0.0, 0.0])
+        with pytest.raises(ValueError, match="outcome must have length 2"):
+            condition_on_generaldyne(self.state, [0], np.eye(2), [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="V_B \\+ meas_cov is singular"):
+            condition_on_generaldyne(self.state, [0], -self.state.cov[:2, :2], [0.0, 0.0])
 
     def test_outcome_averaged_mean_consistency(self):
-        # Monte Carlo: averaging the conditional idler mean over outcomes
-        # drawn from the outcome density recovers the unconditional mean (0).
+        # Monte Carlo: averaging the conditional idler mean over heterodyne
+        # outcomes (Gaussian, covariance V_B + I) recovers the unconditional
+        # mean (0).
         st = apply_channel(tmsv(0.5), 0, ChannelParams(0.4, 0.0, 1.0))
         rng = np.random.default_rng(11)
         gram = st.cov[:2, :2] + np.eye(2)
@@ -224,6 +189,27 @@ class TestOutcomeDensity:
         )
         sd = means.std(axis=0) / math.sqrt(len(outcomes))
         assert np.all(np.abs(means.mean(axis=0)) < 3 * sd + 1e-12)
+
+
+class TestOutcomeDensity:
+    """A heterodyne readout of the return mode is Gaussian with covariance
+    ``V_B + I``: per quadrature 2(kappa N_S + N_B + 1), which is the
+    ``4 v_m`` the conversion law samples its readouts with."""
+
+    def test_heterodyne_variance(self):
+        n_s, kappa, n_b = 0.3, 0.7, 4.0
+        ch = ChannelParams(kappa, 0.0, n_b)
+        gram = apply_channel(tmsv(n_s), 0, ch).cov[:2, :2] + np.eye(2)
+        var = 2 * (kappa * n_s + n_b + 1)
+        assert_allclose(gram, var * np.eye(2), rtol=1e-14, atol=0)
+        assert_allclose(4 * conversion_params(n_s, ch).v_m, var, rtol=1e-14)
+
+    def test_vacuum_heterodyne(self):
+        # A rotated channel leaves roundoff off the diagonal, hence atol.
+        ch = ChannelParams(0.5, 0.3, 0.0)
+        gram = apply_channel(tmsv(0.0), 0, ch).cov[:2, :2] + np.eye(2)
+        assert_allclose(gram, 2.0 * np.eye(2), rtol=1e-14, atol=1e-15)
+        assert 4 * conversion_params(0.0, ch).v_m == 2.0
 
 
 def random_symplectic(k, rng):

@@ -21,7 +21,7 @@ from entsense.gaussian import ChannelParams
 from entsense.metrology import fi_opar, fi_pcr
 from entsense.receivers import (
     DolinarConfig,
-    displaced_thermal_sample_photons,
+    _thermal_kick,
     dolinar_simulate,
     opar_pe,
     pcr_pe,
@@ -198,8 +198,16 @@ class TestDolinarSimulate:
         assert abs(rates.mean() - limit) < 3 * spread
 
 
+def _sample_photons(state, n_samples, stream):
+    """Photon counts of the Dolinar truth model: a Poisson count around the
+    amplitude plus one positive-P thermal kick per sample."""
+    gen = stream.generator()
+    kick = _thermal_kick(gen, state.e_noise, n_samples)
+    return gen.poisson(np.abs(state.alpha + kick) ** 2)
+
+
 def _gof_pvalue(state, n_samples, stream):
-    counts = displaced_thermal_sample_photons(state, stream, size=n_samples)
+    counts = _sample_photons(state, n_samples, stream)
     observed = np.bincount(counts).astype(float)
     expected = photon_pmf(state, np.arange(observed.size)) * n_samples
     # lump the right tail so every expected cell holds at least 5 counts
@@ -213,6 +221,10 @@ def _gof_pvalue(state, n_samples, stream):
 
 
 class TestDisplacedThermalSampling:
+    """The noisy Dolinar trials draw their photons as ``_sample_photons``
+    does and weigh them with ``dephased_pmf``; the draws must follow
+    ``photon_pmf``, or the receiver's likelihoods describe another state."""
+
     def test_matches_pmf(self):
         state = DisplacedThermal(math.sqrt(0.5), 0.2)
         assert _gof_pvalue(state, 1_000_000, RngStream(314159, 0)) > 0.01
@@ -227,21 +239,11 @@ class TestDisplacedThermalSampling:
 
     def test_mean_photon_number(self):
         state = DisplacedThermal(1.2, 0.35)
-        samples = displaced_thermal_sample_photons(
-            state, RngStream(314159, 3), size=400_000
-        )
+        samples = _sample_photons(state, 400_000, RngStream(314159, 3))
         amp_sq = state.amp_sq
         mean = amp_sq + state.e_noise
         var = amp_sq * (2 * state.e_noise + 1) + state.e_noise * (state.e_noise + 1)
         assert abs(samples.mean() - mean) < 3 * math.sqrt(var / samples.size)
-
-    def test_scalar_and_array_returns(self):
-        state = DisplacedThermal(1.2, 0.35)
-        one = displaced_thermal_sample_photons(state, RngStream(1, 1))
-        assert isinstance(one, int) and one >= 0
-        many = displaced_thermal_sample_photons(state, RngStream(1, 1), size=13)
-        assert many.shape == (13,)
-        assert np.issubdtype(many.dtype, np.integer)
 
 
 class TestOparPcr:

@@ -215,3 +215,15 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, -2)
+
+    def test_rejects_non_integral_keys(self):
+        # Truncating would make RngStream(1.5) replay RngStream(1).
+        for args in [(1.5,), (1, 0.7), (math.nan,), (math.inf,), (1, math.inf)]:
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                RngStream(*args)
+        for trial in (2.9, math.nan, -1):
+            with pytest.raises(ValueError, match="trial must be a nonnegative integer"):
+                RngStream(1).trial_generator(trial)
+        numpy_keys = RngStream(np.int64(1), np.uint8(2)).trial_generator(np.int32(3))
+        assert numpy_keys.random() == RngStream(1, 2).trial_generator(3).random()
+        assert RngStream(np.uint64(2**64 - 1)).root_seed == 2**64 - 1
