@@ -17,8 +17,10 @@ byte-identical regardless of parallelism.
 One table gives each CSV cell, or run of adjacent cells, as a function of
 one grid point.  A second gives each subcommand and ``figures`` preset its
 CSV columns, the cells that fill them, its grid axes, its fixed channel
-values and options; a third gives each option its default, check, flag type
-and help.  The argument parser is built from the last two.
+values and options; a third gives each option its default, check and help.
+The argument parser is built from the last two, and its flags take plain
+text: a flag, a config-file key and a ``SweepConfig`` argument holding the
+same value pass the same check.
 
 Subcommands
 -----------
@@ -131,11 +133,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 def _as_grid(name: str, raw: Any, low: float, high: float = math.inf) -> tuple[float, ...]:
     try:
-        if isinstance(raw, str):
-            values = parse_grid(raw)
-        else:
-            values = tuple(float(v) for v in raw)
-    except (TypeError, OverflowError) as exc:
+        values = parse_grid(raw) if isinstance(raw, str) else tuple(_real(name, v) for v in raw)
+    except TypeError as exc:
         raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
     if not values:
         raise ValueError(f"{name} grid must not be empty")
@@ -176,12 +175,7 @@ class SweepConfig:
         object.__setattr__(self, "kappa", _as_grid("kappa", self.kappa, 0.0, 1.0))
         m_values = _as_grid("m", self.m, 1.0)
         object.__setattr__(self, "m", tuple(_count("m", v) for v in m_values))
-        seed = self.seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ValueError("seed must be an integer")
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         quad_tol = _finite("quad_tol", self.quad_tol)
         if not 0.0 < quad_tol <= 1e-2:
             raise ValueError("quad_tol must lie in (0, 1e-2]")
@@ -195,21 +189,27 @@ class SweepConfig:
         options = {}
         for name in names:
             spec = _OPTIONS[name]
-            options[name] = spec.validate(name, self.options.get(name, spec.default))
+            options[name] = spec.check(name, self.options.get(name, spec.default))
         object.__setattr__(self, "options", options)
 
 
 # ---------------------------------------------------------------------------
-# option checks: each takes the option's name and its raw value (a flag, a
-# config-file entry or a SweepConfig argument) and returns the value or
-# raises ValueError
+# value checks: each takes the value's name and its raw value (a flag's text,
+# a config-file entry or a SweepConfig argument) and returns the value or
+# raises ValueError; a number's text passes as the number, a boolean never
+
+
+def _real(name: str, value: Any) -> float:
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a boolean")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a number") from exc
 
 
 def _finite(name: str, value: Any) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be a number") from exc
+    value = _real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
@@ -223,26 +223,45 @@ def _nonnegative(name: str, value: Any) -> float:
 
 
 def _count(name: str, value: Any) -> int:
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count != value or count < 1:
+    number = _real(name, value)
+    if not (1.0 <= number < math.inf and number == int(number)):
         raise ValueError(f"{name} must be an integer >= 1")
-    return count
+    return int(number)
+
+
+def _seed(value: Any) -> int:
+    """A 64-bit integer, or its text as ``int()`` parses it."""
+    try:
+        seed = int(value) if isinstance(value, str) else value
+    except ValueError:
+        seed = None
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    return int(seed)
+
+
+def _choice(*values: str) -> Callable[[str, Any], str]:
+    def check(name: str, raw: Any) -> str:
+        if raw not in values:
+            raise ValueError(f"{name} must be one of {values}")
+        return raw
+
+    return check
 
 
 def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
     """Comma-separated complex literals, or a list of ``[re, im]`` pairs."""
     try:
         if isinstance(raw, str):
-            tokens = [tok for tok in raw.split(",") if tok.strip()]
-            parsed = tuple(complex(tok) for tok in tokens)
+            parsed = tuple(complex(tok) for tok in raw.split(",") if tok.strip())
         else:
-            parsed = tuple(
-                complex(float(pair[0]), float(pair[1])) for pair in raw
-            )
-    except (TypeError, LookupError, OverflowError) as exc:
+            pairs = [tuple(pair) for pair in raw]
+            if any(len(pair) != 2 for pair in pairs):
+                raise TypeError("a pair has other than two entries")
+            parsed = tuple(complex(_real(name, re), _real(name, im)) for re, im in pairs)
+    except TypeError as exc:
         raise ValueError(f"{name} must be a string or a list of [re, im] pairs") from exc
     if not parsed:
         raise ValueError(f"{name} list must not be empty")
@@ -560,46 +579,34 @@ _SUBCOMMANDS["figures"] = ("named sweep presets", ("which",))
 
 @dataclass(frozen=True)
 class _Option:
-    """A subcommand option: its default, its check (``parse(name, raw)``,
-    or membership of ``choices``), and the type and help of its flag."""
+    """A subcommand option: its default, its check (``check(name, raw)``)
+    and the help of its flag."""
 
     default: Any
+    check: Callable[[str, Any], Any]
     help: str
-    type: Callable[[str], Any] = str
-    parse: Callable[[str, Any], Any] | None = None
-    choices: tuple[str, ...] | None = None
-
-    def validate(self, name: str, raw: Any) -> Any:
-        if self.choices is None:
-            return self.parse(name, raw)
-        if raw not in self.choices:
-            raise ValueError(f"{name} must be one of {self.choices}")
-        return raw
 
 
 _OPTIONS = {
-    "theta": _Option(math.pi / 2.0, "encoded phase (default pi/2)", float, _finite),
-    "subchannels": _Option(3, "cells per pattern (default 3)", int, _count),
-    "receiver": _Option("dolinar", "receiver kind", choices=_RECEIVERS),
-    "alpha": _Option(
-        ((1.0, 0.0),), "comma-separated complex amplitudes", parse=_amplitudes
-    ),
-    "slices": _Option(50, "time slices per measurement", int, _count),
-    "trials": _Option(10_000, "Monte Carlo trials per amplitude", int, _count),
-    "noise_nb": _Option(0.0, "thermal occupation of the noise", float, _nonnegative),
-    "which": _Option(None, "preset id", choices=tuple(_PRESETS)),
+    "theta": _Option(math.pi / 2.0, _finite, "encoded phase (default pi/2)"),
+    "subchannels": _Option(3, _count, "cells per pattern (default 3)"),
+    "receiver": _Option("dolinar", _choice(*_RECEIVERS), "receiver: " + ", ".join(_RECEIVERS)),
+    "alpha": _Option(((1.0, 0.0),), _amplitudes, "comma-separated complex amplitudes"),
+    "slices": _Option(50, _count, "time slices per measurement"),
+    "trials": _Option(10_000, _count, "Monte Carlo trials per amplitude"),
+    "noise_nb": _Option(0.0, _nonnegative, "thermal occupation of the noise"),
+    "which": _Option(None, _choice(*_PRESETS), "preset id: " + ", ".join(_PRESETS)),
 }
 
-# settings every subcommand takes: flag / config-file key ->
-# (SweepConfig field, flag type, help)
+# settings every subcommand takes: flag / config-file key -> (SweepConfig field, help)
 _SETTINGS = {
-    "ns": ("ns", str, "source brightness grid"),
-    "nb": ("nb", str, "background photon-number grid"),
-    "kappa": ("kappa", str, "transmissivity grid"),
-    "m": ("m", str, "mode-count grid"),
-    "seed": ("seed", int, "64-bit seed for Monte Carlo points"),
-    "quad_tol": ("quad_tol", float, "quadrature tolerance"),
-    "out": ("output_path", str, "output CSV path"),
+    "ns": ("ns", "source brightness grid"),
+    "nb": ("nb", "background photon-number grid"),
+    "kappa": ("kappa", "transmissivity grid"),
+    "m": ("m", "mode-count grid"),
+    "seed": ("seed", "64-bit seed for Monte Carlo points"),
+    "quad_tol": ("quad_tol", "quadrature tolerance"),
+    "out": ("output_path", "output CSV path"),
 }
 
 
@@ -650,20 +657,12 @@ def _run_task(task):
 # execution and output
 
 
-def _resolve_threads(explicit: int | None) -> int:
+def _resolve_threads(explicit: Any) -> int:
     if explicit is not None:
-        if int(explicit) != explicit or int(explicit) < 1:
-            raise ValueError("threads must be an integer >= 1")
-        return int(explicit)
+        return _count("threads", explicit)
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer") from exc
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
-        return value
+        return _count(THREADS_ENV_VAR, env)
     return os.cpu_count() or 1
 
 
@@ -776,21 +775,16 @@ def _build_parser() -> _Parser:
     for name, (help_text, option_names) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with sweep settings")
-        for key, (_, flag_type, flag_help) in _SETTINGS.items():
-            p.add_argument("--" + key.replace("_", "-"), type=flag_type, help=flag_help)
-        p.add_argument(
-            "--threads",
-            type=int,
-            help=f"worker count (default: ${THREADS_ENV_VAR} or core count)",
-        )
+        for key, (_, flag_help) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), help=flag_help)
+        threads_help = f"worker count (default: ${THREADS_ENV_VAR} or core count)"
+        p.add_argument("--threads", help=threads_help)
         for key in option_names:
-            opt = _OPTIONS[key]
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
+            p.add_argument("--" + key.replace("_", "-"), help=_OPTIONS[key].help)
     return parser
 
 
-def _config_from_args(args) -> tuple[SweepConfig, int | None]:
+def _config_from_args(args) -> tuple[SweepConfig, int]:
     subcommand = args.subcommand
     option_names = _SUBCOMMANDS[subcommand][1]
     values: dict[str, Any] = {}
@@ -810,7 +804,7 @@ def _config_from_args(args) -> tuple[SweepConfig, int | None]:
             values[key] = getattr(args, key)
     settings = {_SETTINGS[k][0]: v for k, v in values.items() if k in _SETTINGS}
     options = {k: v for k, v in values.items() if k in option_names}
-    return SweepConfig(subcommand, options=options, **settings), args.threads
+    return SweepConfig(subcommand, options=options, **settings), _resolve_threads(args.threads)
 
 
 def main(argv=None) -> int:

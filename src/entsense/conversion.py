@@ -219,8 +219,9 @@ def expect_total_displacement(
 ) -> tuple[float, float]:
     """Expectation of ``f`` under the combined-displacement law.
 
-    Computes ``E[f(X)]`` for ``X = |d_T|^2`` distributed per
-    :func:`entsense.special.scaled_chi2_pdf`, by uniform Gauss-Legendre
+    Computes ``E[f(X)]`` for ``X = |d_T|^2``, which is ``params.xi`` times
+    a chi-square variable with ``2 m`` degrees of freedom (mean
+    ``2 m xi``, variance ``4 m xi^2``), by uniform Gauss-Legendre
     panels on the chi-square quantile map at every ``m``: one panel of 16
     nodes is compared with two, and the panel count doubles until two
     successive levels agree, returning the finer one.  A smooth integrand

@@ -63,12 +63,16 @@ class DolinarConfig:
     noise_nb: float = 0.0
 
     def __post_init__(self):
-        if int(self.slices) != self.slices or self.slices < 1:
-            raise ValueError("slices must be a positive integer")
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError("trials must be a positive integer")
-        if not self.noise_nb >= 0:
-            raise ValueError("noise_nb must be nonnegative")
+        # a boolean is not a count or an occupation, though it compares as one
+        for name in ("slices", "trials", "noise_nb"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
+        for name in ("slices", "trials"):
+            value = getattr(self, name)
+            if not (1 <= value < math.inf and value == int(value)):
+                raise ValueError(f"{name} must be a positive integer")
+        if not 0 <= self.noise_nb < math.inf:
+            raise ValueError("noise_nb must be finite and nonnegative")
         object.__setattr__(self, "slices", int(self.slices))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "noise_nb", float(self.noise_nb))

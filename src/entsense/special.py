@@ -1,10 +1,12 @@
 """Distributions, random streams and the confluent hypergeometric function.
 
-Implements the scaled chi-square density and sampler for total-displacement
-magnitudes and a counter-based splittable random-stream abstraction for
-reproducible Monte-Carlo runs.  1F1 is a thin wrapper over
-:mod:`scipy.special` that rejects poles and non-finite arguments with
-``ValueError`` and overflow with ``OverflowError``.
+Implements the sampler of the total squared displacement built from ``m``
+complex readouts, ``xi`` times a chi-square variable with ``2 m`` degrees
+of freedom (mean ``2 m xi``, variance ``4 m xi^2``), and a counter-based
+splittable random-stream abstraction for reproducible Monte-Carlo runs.
+1F1 is a thin wrapper over :mod:`scipy.special` that rejects poles and
+non-finite arguments with ``ValueError`` and overflow with
+``OverflowError``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import _check_inputs
 __all__ = [
     "RngStream",
     "hyp1f1",
-    "scaled_chi2_pdf",
     "sample_scaled_chi2",
 ]
 
@@ -113,69 +114,20 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     return value
 
 
-def scaled_chi2_pdf(x, m: int, xi: float):
-    """Density of ``xi`` times a chi-square variable with ``2m`` degrees of freedom.
+def sample_scaled_chi2(m: int, xi: float, rng, size=None):
+    """Draw ``xi`` times a chi-square variable with ``2 m`` degrees of freedom.
 
     This is the law of the total squared displacement built from ``m``
-    complex readouts: p(x) = x^{m-1} e^{-x/(2 xi)} / ((2 xi)^m Gamma(m)),
-    normalized, with mean ``2 m xi`` and variance ``4 m xi^2``.
+    complex readouts, with mean ``2 m xi`` and variance ``4 m xi^2``.  The
+    draw is numpy's chi-square draw scaled by ``xi``, which is exact and
+    costs O(1) per sample at every ``m``.
 
     Parameters
     ----------
-    x : float or ndarray
-        Evaluation point(s), ``x >= 0``.
     m : int
         Number of combined readouts (half the degrees of freedom).
     xi : float
         Positive scale.
-    """
-    _check_inputs(m=m)
-    m = int(m)
-    if not xi > 0:
-        raise ValueError("xi must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    scale = 2.0 * xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m > 10**6:
-            # Centered form: the direct log-sum cancels terms of size
-            # m*log(m) ~ 1e10, leaving noise far above the density's own
-            # scale.  Writing x = 2 m xi (1 + delta) and using Stirling for
-            # lgamma(m) keeps every term O(1) or better.
-            delta = x / (m * scale) - 1.0
-            log1p = np.log1p(delta)
-            logpdf = (
-                -math.log(scale)
-                - 0.5 * math.log(2.0 * math.pi * m)
-                - 1.0 / (12.0 * m)
-                + m * (log1p - delta)
-                - log1p
-            )
-        else:
-            logpdf = (
-                (m - 1) * np.log(x)
-                - x / scale
-                - m * math.log(scale)
-                - math.lgamma(m)
-            )
-        out = np.exp(logpdf)
-    if m == 1:
-        out = np.where(x == 0.0, 1.0 / scale, out)
-    else:
-        out = np.where(x == 0.0, 0.0, out)
-    return out if out.ndim else float(out)
-
-
-def sample_scaled_chi2(m: int, xi: float, rng, size=None):
-    """Draw samples of the scaled chi-square law of :func:`scaled_chi2_pdf`.
-
-    Returns ``xi`` times numpy's chi-square draw with ``2 m`` degrees of
-    freedom, which is exact and costs O(1) per sample at every ``m``.
-
-    Parameters
-    ----------
-    m, xi : as in :func:`scaled_chi2_pdf`.
     rng : RngStream or numpy.random.Generator
     size : int or tuple, optional
         ``None`` returns a scalar.

@@ -117,6 +117,14 @@ class TestSweepConfig:
             {"subcommand": "phase", "options": {"theta": math.inf}},
             {"subcommand": "receiver-sim", "options": {"alpha": "nan"}},
             {"subcommand": "receiver-sim", "options": {"alpha": [[math.inf, 0.0]]}},
+            # a boolean is not a number, though float(True) == 1.0
+            {"subcommand": "receiver-sim", "options": {"trials": True}},
+            {"subcommand": "phase", "options": {"theta": True}},
+            {"subcommand": "illumination", "ns": [True]},
+            {"subcommand": "receiver-sim", "options": {"alpha": [[True, 0.0]]}},
+            # [re, im] pairs hold two numbers, no more and no fewer
+            {"subcommand": "receiver-sim", "options": {"alpha": [[1.0, 0.0, 5.0]]}},
+            {"subcommand": "receiver-sim", "options": {"alpha": [[1.0]]}},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -376,6 +384,9 @@ class TestExitCodes:
             ("receiver-sim", '{"trials": Infinity}'),
             ("receiver-sim", '{"alpha": 1.0}'),
             ("illumination", '{"ns": 5}'),
+            ("receiver-sim", '{"trials": true}'),
+            ("phase", '{"theta": true}'),
+            ("illumination", '{"ns": [true]}'),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, subcommand, text):
@@ -386,6 +397,20 @@ class TestExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["exit_status"] == 2
+
+    @pytest.mark.parametrize(
+        "flag, env", [("0", None), ("2.5", None), ("x", None), (None, "0"), (None, "many")]
+    )
+    def test_bad_worker_count_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv(cli.THREADS_ENV_VAR, env)
+        out = tmp_path / "x.csv"
+        argv = ["pattern", "--out", str(out)] + (["--threads", flag] if flag else [])
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_status"] == 2
+        assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code = main(["pattern", "--out", "/no_such_dir/out.csv", "--threads", "1"])
@@ -510,6 +535,91 @@ class TestConfigFile:
         header, rows = read_rows(out)
         assert header[0] == "n_s"
         assert len(rows) == 25
+
+
+# (subcommand, key, flag text, config-file value, SweepConfig argument): the
+# same value given three ways; every setting and option appears once in each
+# table
+SAME_VALUE = [
+    ("illumination", "ns", "1e-3,2e-3", [1e-3, 2e-3], (1e-3, 2e-3)),
+    ("illumination", "nb", "log:1:100:3", "log:1:100:3", (1.0, 10.0, 100.0)),
+    ("illumination", "kappa", "0.5", [0.5], (0.5,)),
+    ("illumination", "m", "1e2,20", [100, 20.0], (100, 20)),
+    ("illumination", "seed", "8", 8, 8),
+    ("illumination", "quad_tol", "1e-5", 1e-5, 1e-5),
+    ("illumination", "out", "x.csv", "x.csv", "x.csv"),
+    ("phase", "theta", "0.25", 0.25, 0.25),
+    ("pattern", "subchannels", "4", 4, 4),
+    ("receiver-sim", "receiver", "kennedy", "kennedy", "kennedy"),
+    ("receiver-sim", "alpha", "0.5,1+2j", [[0.5, 0], [1, 2]], "0.5,1+2j"),
+    ("receiver-sim", "slices", "1e1", 10.0, 10),
+    ("receiver-sim", "trials", "20.0", 20, 20.0),
+    ("receiver-sim", "noise_nb", "0.05", 0.05, 0.05),
+    ("figures", "which", "4a", "4a", "4a"),
+]
+
+# the same, for values every route rejects with one message
+BAD_VALUE = [
+    ("illumination", "ns", "-1", [-1], (-1.0,)),
+    ("illumination", "nb", "inf", [math.inf], (math.inf,)),
+    ("illumination", "kappa", "1.5", [1.5], (1.5,)),
+    ("illumination", "m", "2.5", [2.5], (2.5,)),
+    ("illumination", "seed", "1.0", 1.0, 1.0),
+    ("illumination", "quad_tol", "0.5", 0.5, 0.5),
+    ("illumination", "out", "", "", ""),
+    ("phase", "theta", "nan", math.nan, math.nan),
+    ("pattern", "subchannels", "0", 0, 0),
+    ("receiver-sim", "receiver", "sad", "sad", "sad"),
+    ("receiver-sim", "alpha", "inf", [[math.inf, 0]], "inf"),
+    ("receiver-sim", "slices", "inf", math.inf, math.inf),
+    ("receiver-sim", "trials", "2.5", 2.5, 2.5),
+    ("receiver-sim", "noise_nb", "-0.5", -0.5, -0.5),
+    ("figures", "which", "9z", "9z", "9z"),
+]
+
+
+def _three_ways(tmp_path, subcommand, key, text, stored, arg):
+    """argv with the value as a flag, argv with it in a config file, and a
+    SweepConfig constructor holding it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: stored}))
+    flag = [subcommand, "--" + key.replace("_", "-"), text]
+    in_file = [subcommand, "--config", str(cfg)]
+    if key in cli._SETTINGS:
+        kwargs = {cli._SETTINGS[key][0]: arg}
+    else:
+        kwargs = {"options": {key: arg}}
+    return flag, in_file, lambda: SweepConfig(subcommand, **kwargs)
+
+
+class TestOneCheckPerValue:
+    def test_tables_cover_every_setting_and_option(self):
+        every = sorted({*cli._SETTINGS, *cli._OPTIONS})
+        assert sorted(row[1] for row in SAME_VALUE) == every
+        assert sorted(row[1] for row in BAD_VALUE) == every
+
+    @pytest.mark.parametrize("subcommand, key, text, stored, arg", SAME_VALUE)
+    def test_flag_file_and_argument_agree(self, tmp_path, subcommand, key, text, stored, arg):
+        flag, in_file, direct = _three_ways(tmp_path, subcommand, key, text, stored, arg)
+        parser = cli._build_parser()
+        from_flag, _ = cli._config_from_args(parser.parse_args([*flag, "--threads", "1"]))
+        from_file, _ = cli._config_from_args(parser.parse_args([*in_file, "--threads", "1"]))
+        assert from_flag == from_file == direct()
+
+    @pytest.mark.parametrize("subcommand, key, text, stored, arg", BAD_VALUE)
+    def test_flag_file_and_argument_reject_alike(
+        self, tmp_path, capsys, subcommand, key, text, stored, arg
+    ):
+        flag, in_file, direct = _three_ways(tmp_path, subcommand, key, text, stored, arg)
+        with pytest.raises(ValueError) as exc:
+            direct()
+        messages = []
+        for argv in (flag, in_file):
+            assert main([*argv, "--threads", "1"]) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            messages.append(json.loads(lines[0])["error"])
+        assert messages == [str(exc.value)] * 2
 
 
 class TestPhaseSweep:

@@ -40,7 +40,6 @@ def _rng():
 # entry point -> call at the valid point; its keyword parameters are the
 # inputs under test
 CALLS = {
-    "special.scaled_chi2_pdf": lambda m=M: special.scaled_chi2_pdf(1.0, m, 0.1),
     "special.sample_scaled_chi2": lambda m=M: special.sample_scaled_chi2(m, 0.1, _rng()),
     "gaussian.tmsv": lambda n_s=NS: gaussian.tmsv(n_s),
     "conversion.conversion_params": lambda n_s=NS: conversion.conversion_params(n_s, CH),

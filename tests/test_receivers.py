@@ -58,6 +58,23 @@ class TestDolinarConfig:
         with pytest.raises(ValueError, match="noise_nb"):
             DolinarConfig(slices=1, trials=1, noise_nb=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("slices", math.inf),
+            ("slices", math.nan),
+            ("slices", True),
+            ("trials", math.inf),
+            ("trials", np.True_),
+            ("noise_nb", math.inf),
+            ("noise_nb", math.nan),
+            ("noise_nb", False),
+        ],
+    )
+    def test_rejects_non_finite_and_boolean(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DolinarConfig(**{"slices": 4, "trials": 10, field: value})
+
     def test_coerces_integral_floats(self):
         cfg = DolinarConfig(slices=3.0, trials=10.0)
         assert cfg.slices == 3 and isinstance(cfg.slices, int)

@@ -3,12 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.special
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from entsense.special import RngStream, hyp1f1, sample_scaled_chi2, scaled_chi2_pdf
+from entsense.special import RngStream, hyp1f1, sample_scaled_chi2
 
 
 # Frozen oracle values (exact rational / brute-force series).
@@ -83,72 +82,6 @@ class TestMpmathOracle:
                 got = np.array([hyp1f1(-n, 1, xi) for xi in x])
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
                 assert np.max(err) <= 1e-12, (n, np.max(err))
-
-
-class TestScaledChi2Pdf:
-    def test_m1_is_exponential(self):
-        xi = 0.3
-        x = np.linspace(0, 5, 20)
-        assert_allclose(
-            scaled_chi2_pdf(x, 1, xi), np.exp(-x / (2 * xi)) / (2 * xi), rtol=1e-12
-        )
-
-    def test_mean_m3(self):
-        val, _ = scipy.integrate.quad(
-            lambda x: x * scaled_chi2_pdf(x, 3, 0.2), 0, np.inf
-        )
-        assert_allclose(val, 1.2, rtol=1e-9)
-
-    def test_against_scipy_chi2(self):
-        x = np.linspace(1e-3, 10, 50)
-        for m, xi in [(1, 0.5), (4, 0.1), (25, 0.02)]:
-            want = scipy.stats.chi2(2 * m, scale=xi).pdf(x)
-            assert_allclose(scaled_chi2_pdf(x, m, xi), want, rtol=1e-10)
-
-    def test_sampling_oracle_value(self):
-        # (0.5, 4, 0.1) against a Monte-Carlo histogram of xi * sum of 8
-        # squared normals.
-        rng = np.random.default_rng(2026)
-        draws = 0.1 * np.sum(rng.standard_normal((10**6, 8)) ** 2, axis=1)
-        width = 0.05
-        count = np.count_nonzero(np.abs(draws - 0.5) < width / 2)
-        p_hat = count / draws.size / width
-        sigma = math.sqrt(count) / draws.size / width
-        assert abs(scaled_chi2_pdf(0.5, 4, 0.1) - p_hat) < 3 * sigma
-
-    @pytest.mark.parametrize("m", [1, 10, 100])
-    def test_normalization(self, m):
-        xi = 0.07
-        val, _ = scipy.integrate.quad(
-            lambda x: scaled_chi2_pdf(x, m, xi), 0, np.inf, limit=200
-        )
-        assert abs(val - 1.0) <= 1e-8
-
-    def test_x_zero_edge(self):
-        assert scaled_chi2_pdf(0.0, 1, 0.5) == 1.0
-        assert scaled_chi2_pdf(0.0, 2, 0.5) == 0.0
-
-
-class TestScaledChi2PdfLargeM:
-    # High-precision reference values at the mean and +/-5 sigma; the naive
-    # log-sum formula loses ~6 digits out here to lgamma cancellation.
-    @pytest.mark.parametrize(
-        "m, x, want",
-        [
-            (2 * 10**6, 0.3985857864376269, 0.005121446787151881),
-            (2 * 10**6, 0.39999999999999997, 1410.4739000996437),
-            (2 * 10**6, 0.40141421356237306, 0.005394025135034549),
-            (3 * 10**8, 59.98267949192431, 0.0004282711608262311),
-            (3 * 10**8, 60.0, 115.16471645845496),
-            (3 * 10**8, 60.01732050807569, 0.0004300882630343607),
-        ],
-    )
-    def test_reference_values(self, m, x, want):
-        # Attainable accuracy is ~ m * delta * eps at +/-5 sigma.
-        assert_allclose(scaled_chi2_pdf(x, m, 1e-7), want, rtol=1e-10)
-
-    def test_zero_edge(self):
-        assert scaled_chi2_pdf(0.0, 2 * 10**6, 1e-7) == 0.0
 
 
 class TestSampleScaledChi2:
