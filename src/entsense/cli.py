@@ -55,6 +55,7 @@ import math
 import os
 import platform
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -133,6 +134,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 def _as_grid(name: str, raw: Any, low: float, high: float = math.inf) -> tuple[float, ...]:
     try:
+        if isinstance(raw, Mapping):  # iterating one would read its keys
+            raise TypeError("a mapping is not a grid")
         values = parse_grid(raw) if isinstance(raw, str) else tuple(_real(name, v) for v in raw)
     except TypeError as exc:
         raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
@@ -256,6 +259,8 @@ def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
     try:
         if isinstance(raw, str):
             parsed = tuple(complex(tok) for tok in raw.split(",") if tok.strip())
+        elif isinstance(raw, Mapping):  # iterating one would read its keys
+            raise TypeError("a mapping is not a list of pairs")
         else:
             pairs = [tuple(pair) for pair in raw]
             if any(len(pair) != 2 for pair in pairs):

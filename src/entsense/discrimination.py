@@ -285,7 +285,8 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
     cutoffs (15 levels near ``(kappa m n_s, n_b) = (0.01, 0.24)``), and by
     under 4e-13 at cutoffs above 150 (measured against a tripled cutoff);
     the band's dropped diagonals move it by at most 1e-17, and rounding
-    adds about 1e-14.
+    adds about 1e-14 at Fig. 2a's cutoffs (see
+    :func:`_coherent_helstrom_error`).
     """
     _check_inputs(n_s, m)
     return _coherent_helstrom_error(ch.kappa * m * n_s, ch.n_b)
@@ -309,7 +310,11 @@ def _coherent_helstrom_error(amp_sq: float, n_b: float) -> float:
     4e-13 above 150.  Only the leading diagonals of
     :func:`_displaced_thermal_band` are built; the ones it drops hold at
     most 1e-17 per triangle, which bounds their nuclear norm by 2e-17 and
-    so moves the error by at most 1e-17.  Rounding adds about 1e-14.
+    so moves the error by at most 1e-17.  Rounding adds about 1e-14: at
+    most 3e-15 against the dense matrix's SVD at the Fig. 2a and 3a points,
+    and up to 7e-14 near cutoff 3,000 (``n_b = 100``), where the rounding of
+    the photon-number pmf, which scales each column of a band built along
+    its diagonals, sets the accuracy.
 
     Solvers: the band's odd diagonals hold ``B`` as a band matrix, stored
     once by :func:`_parity_band`.  Where the band through its last odd

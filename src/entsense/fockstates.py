@@ -6,7 +6,9 @@ with mean photon number ``E`` displaced to a complex amplitude ``alpha``.
 Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1882 (1969)) by a
 real three-term recurrence; the Fock matrix, the photon-counting statistics
 and the binary phase-keyed mixture ``(rho_{+sqrt(x)} + rho_{-sqrt(x)})/2``
-are all read off that one construction.
+are all read off that one construction.  The narrow band of a noisy state,
+which the coherent-state benchmark solves on, is built along its diagonals
+instead, by the recurrence in the Laguerre parameter.
 """
 
 from __future__ import annotations
@@ -279,6 +281,90 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = _TAIL_TOL) 
     )
 
 
+def _laguerre_band(x: float, e_noise: float, dim: int) -> np.ndarray:
+    """Leading diagonals ``band[k, n] = rho[n+k, n]`` of
+    :func:`displaced_thermal_matrix`, built down the rows by
+    :func:`_laguerre_columns`: the dense matrix's entries bit for bit.
+
+    The width grows by doubling until the last eight diagonals computed
+    sum below ``1e-3 * _BAND_TAIL``, as :func:`recommended_dim` grows its
+    cap.  It starts at ``64 + 20 sqrt(x)``: a coherent state's diagonal
+    sums fall about as ``exp(-k^2 / (8x))``, to 1e-20 near
+    ``k = 20 sqrt(x)`` (checked up to ``x = 280``), and thermal noise only
+    narrows the band, so one pass is the rule.
+    """
+    width = min(64 + math.ceil(20.0 * math.sqrt(x)), dim)
+    while True:
+        rows = np.zeros((dim, width))
+        for n, col in enumerate(_laguerre_columns(np.array([x]), e_noise, dim, width)):
+            rows[n, : col.shape[1]] = col[0]
+        if width == dim or np.abs(rows).sum(axis=0)[-8:].sum() < 1e-3 * _BAND_TAIL:
+            return rows.T
+        width = min(2 * width, dim)
+
+
+def _miller_band(x: float, e: float, dim: int) -> np.ndarray | None:
+    """Diagonals ``k = 0 .. K`` of the band of :func:`_displaced_thermal_band`,
+    uncut, by Miller's backward recurrence along ``k`` (Gautschi, SIAM Rev.
+    9, 24 (1967)); ``None`` unless ``0 < x < E(E+1)`` and the error bound
+    below holds at some ``K < dim``.
+
+    With ``q = E/(E+1)`` and ``b_k = (k+1) E/sqrt(x) - sqrt(x)/(E+1)``, each
+    column ``g[n, k] = rho[n+k, n]`` obeys ``q sqrt(n+k+1) g[n, k] =
+    sqrt(n+k+2) g[n, k+2] + b_k g[n, k+1]`` (DLMF 18.9, from ``x L^(a+2) =
+    (a+1+x) L^(a+1) - (n+a+1) L^(a)``).  For ``x < E(E+1)`` every ``b_k``
+    and every ``g`` is positive, so each backward step adds two positive
+    terms and ``g`` is the minimal solution.  At every column ``n < dim``:
+
+    - ``g[n, k+1] / g[n, k] <= r_k = q sqrt(dim+k) / b_k``, which falls with
+      ``k``, so the cut keeps at most ``w`` diagonals, ``w`` the first ``k``
+      with ``r_k <= 1/2`` and ``prod_{j<k} r_j <= _BAND_TAIL / 2``;
+    - started from ``(g[K+1], g[K]) = (0, 1)`` and scaled to the pmf of
+      :func:`_pmf_walks` at ``k = 0``, each entry ``k < w`` is off by at most
+      ``w prod_{j=w-2}^{K-1} d_j / (1 - d_{K-1})`` relative, with
+      ``d_j = q (dim+j+1) / (b_j b_{j+1})`` bounding each step's damping.
+
+    ``K`` is the least start that holds this under ``2^-53``; rounding adds a
+    few ulps a step.  Each step covers every column, on mantissas
+    renormalized by exact powers of two.
+    """
+    if not 0.0 < x < e * (e + 1.0):
+        return None
+    q = e / (e + 1.0)
+    j = np.arange(dim + 1.0)
+    b = (j + 1.0) * (e / math.sqrt(x)) - math.sqrt(x) / (e + 1.0)
+    log_b = np.log(b)
+    log_r = math.log(q) + 0.5 * np.log(dim + j) - log_b
+    fits = (log_r <= -math.log(2.0)) & (
+        np.cumsum(log_r) - log_r <= math.log(0.5 * _BAND_TAIL)
+    )
+    if not fits.any():
+        return None
+    width = max(int(np.argmax(fits)), 2)
+    log_d = np.minimum(math.log(q) + np.log(dim + 1.0 + j[:-1]) - log_b[:-1] - log_b[1:], 0.0)
+    damped = np.concatenate(([0.0], np.cumsum(log_d)))  # sum_{j<K} log d_j
+    starts = np.nonzero(damped <= damped[width - 2] + math.log(2.0**-53 / width))[0]
+    if not starts.size or starts[0] >= dim:
+        return None
+    top = int(starts[0])
+    root = np.sqrt(np.arange(dim + top + 2.0))
+    q_root = q * root
+    mant = np.empty((top + 1, dim))
+    exp2 = np.zeros((top + 1, dim), dtype=int)
+    mant[top] = 1.0
+    prev = np.zeros(dim)  # g[:, k+2] in the scale of g[:, k+1]
+    for k in range(top - 1, -1, -1):
+        cur = root[k + 2 : k + 2 + dim] * prev + b[k] * mant[k + 1]
+        mant[k], shift = np.frexp(cur / q_root[k + 1 : k + 1 + dim])
+        prev = np.ldexp(mant[k + 1], -shift)
+        exp2[k] = exp2[k + 1] + shift
+    (walk,) = _pmf_walks(np.array([x]), e)
+    pmf = np.fromiter(itertools.islice(walk, dim), float, dim)
+    band = np.ldexp(mant / mant[0] * pmf, exp2 - exp2[0])
+    band[np.add.outer(np.arange(top + 1), np.arange(dim)) >= dim] = 0.0
+    return band
+
+
 def _displaced_thermal_band(x: float, e_noise: float, dim: int) -> np.ndarray:
     """LAPACK lower band storage ``band[k, n] = rho[n+k, n]`` (zero past
     ``n + k = dim - 1``) of ``displaced_thermal_matrix(x, e_noise, dim)``,
@@ -287,27 +373,20 @@ def _displaced_thermal_band(x: float, e_noise: float, dim: int) -> np.ndarray:
     ``_BAND_TAIL``.  The matrix held is symmetric, so the nuclear norm of
     what the cut drops from it is at most twice that sum.
 
-    The width grows by doubling until the last eight diagonals computed
-    sum below ``1e-3 * _BAND_TAIL``, as :func:`recommended_dim` grows its
-    cap.  It starts at ``64 + 20 sqrt(x)``: a coherent state's diagonal
-    sums fall about as ``exp(-k^2 / (8x))``, to 1e-20 near
-    ``k = 20 sqrt(x)`` (checked up to ``x = 280``), and thermal noise only
-    narrows the band, so one pass is the rule.  The entries are those of
-    the dense matrix bit for bit: each diagonal runs its own
-    :func:`_laguerre_columns` recurrence.
+    :func:`_miller_band` builds it in about ``w`` steps where its error
+    bound holds (noisy states with ``0 < x < E(E+1)``, Fig. 2a's among
+    them), :func:`_laguerre_band` in ``dim`` steps elsewhere.  Both give
+    the pmf walk's row 0.  Their other entries agree to about 1e-15 of the
+    largest at Fig. 2a's cutoffs and to 3e-13 at ``x = 250``: both carry
+    the pmf walk's rounding, which grows with the level, and the backward
+    route scales whole columns by it.  The cut keeps the same width.
     """
-    width = min(64 + math.ceil(20.0 * math.sqrt(x)), dim)
-    while True:
-        rows = np.zeros((dim, width))
-        for n, col in enumerate(_laguerre_columns(np.array([x]), e_noise, dim, width)):
-            rows[n, : col.shape[1]] = col[0]
-        sums = np.abs(rows).sum(axis=0)
-        if width == dim or sums[-8:].sum() < 1e-3 * _BAND_TAIL:
-            break
-        width = min(2 * width, dim)
-    tail = np.cumsum(sums[::-1])[::-1]
-    cut = min(max(int(np.count_nonzero(tail > _BAND_TAIL)), 2), width)
-    return np.ascontiguousarray(rows[:, :cut].T)
+    band = _miller_band(x, e_noise, dim)
+    if band is None:
+        band = _laguerre_band(x, e_noise, dim)
+    tail = np.cumsum(np.abs(band).sum(axis=1)[::-1])[::-1]
+    cut = min(max(int(np.count_nonzero(tail > _BAND_TAIL)), 2), len(band))
+    return np.ascontiguousarray(band[:cut])
 
 
 def to_fock(

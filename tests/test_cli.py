@@ -125,6 +125,10 @@ class TestSweepConfig:
             # [re, im] pairs hold two numbers, no more and no fewer
             {"subcommand": "receiver-sim", "options": {"alpha": [[1.0, 0.0, 5.0]]}},
             {"subcommand": "receiver-sim", "options": {"alpha": [[1.0]]}},
+            # a mapping is no grid or pair list: iterating it reads its keys
+            {"subcommand": "illumination", "ns": {"1e-3": 5}},
+            {"subcommand": "illumination", "m": {1000: 1}},
+            {"subcommand": "receiver-sim", "options": {"alpha": {"12": 0}}},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -387,6 +391,9 @@ class TestExitCodes:
             ("receiver-sim", '{"trials": true}'),
             ("phase", '{"theta": true}'),
             ("illumination", '{"ns": [true]}'),
+            ("illumination", '{"ns": {"1e-3": 5}}'),
+            ("illumination", '{"kappa": {"0.5": 1}}'),
+            ("receiver-sim", '{"alpha": {"12": 0}}'),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, subcommand, text):
@@ -397,6 +404,15 @@ class TestExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["exit_status"] == 2
+
+    def test_mapping_grid_gives_the_config_message(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ns": {"1e-3": 5}}')
+        out = str(tmp_path / "x.csv")
+        assert main(["illumination", "--config", str(cfg), "--out", out, "--threads", "1"]) == 2
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(subcommand="illumination", ns={"1e-3": 5})
+        assert json.loads(capsys.readouterr().err)["error"] == str(exc.value)
 
     @pytest.mark.parametrize(
         "flag, env", [("0", None), ("2.5", None), ("x", None), (None, "0"), (None, "many")]

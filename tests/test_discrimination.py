@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cython_lapack
 
-from entsense import discrimination
+from entsense import discrimination, fockstates
 from entsense.conversion import conversion_params
 from entsense.discrimination import (
     PatternHypothesis,
@@ -298,6 +298,19 @@ def test_band_solve_matches_dense_svd(amp_sq, n_b):
     rho = displaced_thermal_matrix(0.25 * amp_sq, n_b, dim)
     want = float(np.sum(np.linalg.svd(rho[0::2, 1::2], compute_uv=False)))
     assert abs(_coherent_helstrom_error(amp_sq, n_b) - (0.5 - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [10**4, 10**5, 10**6])
+def test_fig2a_solves_build_their_band_along_the_diagonals(monkeypatch, m):
+    # a route guard, not a timing gate: the forward route builds these
+    # bands in dim (573-693) steps, the backward one in about their width
+    def forward(*args):
+        raise AssertionError(f"forward band route at {args}")
+
+    monkeypatch.setattr(fockstates, "_laguerre_band", forward)
+    got = _coherent_helstrom_error(FIG2A.kappa * m * 1e-3, FIG2A.n_b)
+    assert got == p_classical_coherent(1e-3, FIG2A, m)
+    assert 0.0 < got < 0.5
 
 
 @pytest.mark.parametrize("x, e, dim", [(75.0, 0.1, 445), (3.0, 0.5, 20), (0.7, 2.0, 31)])

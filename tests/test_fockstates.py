@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, gammaln
@@ -455,6 +455,13 @@ def test_recommended_dim_equals_brute_force(amp_sq, e):
     assert recommended_dim(amp_sq, e) == _brute_force_cutoff(amp_sq, e)
 
 
+def _forward_band(x, e, dim):
+    """``_displaced_thermal_band`` on its forward route alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fockstates, "_miller_band", lambda *args: None)
+        return fockstates._displaced_thermal_band(x, e, dim)
+
+
 @pytest.mark.parametrize(
     "x, e, dim, tail",
     [
@@ -462,24 +469,100 @@ def test_recommended_dim_equals_brute_force(amp_sq, e):
         (75.0, 0.1, 445, 1e-17),  # wide band of a nearly coherent one
         (0.0, 1.0, 37, 1e-17),  # thermal: no off-diagonal entry
         (3.0, 0.5, 20, 1e-17),  # the whole matrix
-        (2.5, 20.0, 693, 1e-200),  # wider than the first pass: it doubles
+        (2.5, 20.0, 693, 1e-200),  # wider than the first forward pass: it doubles
+        (75.0, 0.1, 445, 1e-200),
     ],
 )
 def test_band_holds_dense_entries_and_drops_at_most_its_tail(
     monkeypatch, x, e, dim, tail
 ):
+    # the forward route holds the dense entries bit for bit; the backward
+    # one, which runs at n_b = 20 here, keeps the forward route's width and
+    # its entries to 1e-13 of the largest
     monkeypatch.setattr(fockstates, "_BAND_TAIL", tail)
     rho = displaced_thermal_matrix(x, e, dim)
     band = fockstates._displaced_thermal_band(x, e, dim)
     width = len(band)
+    backward = fockstates._miller_band(x, e, dim) is not None
+    assert backward == (e == 20.0)
     assert 2 <= width <= dim and band.shape == (width, dim)
+    if backward:
+        assert width == len(_forward_band(x, e, dim))
+    assert np.array_equal(band[0], np.diagonal(rho))
     for k in range(width):
-        assert np.array_equal(band[k, : dim - k], np.diagonal(rho, -k))
+        if backward:
+            got, want = band[k, : dim - k], np.diagonal(rho, -k)
+            assert_allclose(got, want, rtol=0, atol=1e-13 * rho.max())
+        else:
+            assert np.array_equal(band[k, : dim - k], np.diagonal(rho, -k))
         assert not band[k, dim - k :].any()
     dropped = sum(np.abs(np.diagonal(rho, -k)).sum() for k in range(width, dim))
     assert dropped <= tail
     if tail < 1e-17:
         assert width > 64 + 20 * math.sqrt(x)
+
+
+@pytest.mark.parametrize(
+    "x, e, dim",
+    [
+        (2.5, 0.0, 26),  # q = 0: a coherent state
+        (0.0, 20.0, 571),  # x = 0: a thermal state
+        (250.0, 0.01, 1258),  # n_b = 0.01 and 0.1: wide bands
+        (0.25, 0.1, 18),
+        (25.0, 0.1, 187),
+        (250.0, 10.0, 2333),  # a large cutoff past x = E(E+1)
+        (0.0099, 0.01, 13),  # just inside x < E(E+1): no start below dim
+    ],
+)
+def test_band_falls_back_to_the_forward_route(monkeypatch, x, e, dim):
+    calls = []
+    forward = fockstates._laguerre_band
+    monkeypatch.setattr(
+        fockstates, "_laguerre_band", lambda *args: calls.append(args) or forward(*args)
+    )
+    assert fockstates._miller_band(x, e, dim) is None
+    band = fockstates._displaced_thermal_band(x, e, dim)
+    assert calls == [(x, e, dim)]
+    rho = displaced_thermal_matrix(x, e, dim)
+    for k in range(len(band)):
+        assert np.array_equal(band[k, : dim - k], np.diagonal(rho, -k))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    x=st.floats(1e-6, 30.0),
+    e=st.one_of(st.floats(0.2, 3.0), st.floats(3.0, 100.0)),
+)
+@example(x=2.5, e=20.0)
+@example(x=29.0, e=5.0)
+def test_backward_band_matches_the_forward_route(x, e):
+    # the coherent solve's band, at x = amp_sq / 4 with its cutoff
+    dim = recommended_dim(4.0 * x, e)
+    assume(fockstates._miller_band(x, e, dim) is not None)
+    band = fockstates._displaced_thermal_band(x, e, dim)
+    want = _forward_band(x, e, dim)
+    assert band.shape == want.shape
+    assert np.array_equal(band[0], want[0])
+    assert_allclose(band, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "x, e, dim",
+    [(0.3, 1.0, 48), (0.3, 2.0, 78), (0.0025, 0.5, 23), (1.0, 1.5, 78), (5.0, 4.0, 60)],
+)
+def test_backward_band_matches_mpmath(x, e, dim):
+    # on the diagonals the cut keeps: each column's ratios to its pmf entry
+    # carry the recurrence's own error (a few ulps a step), and the entries
+    # add the pmf walk's
+    band = fockstates._miller_band(x, e, dim)
+    assert band is not None
+    band = band[: len(fockstates._displaced_thermal_band(x, e, dim))]
+    want = np.array(
+        [[float(mpmath.re(mp_entry(math.sqrt(x), e, n + k, n))) if n + k < dim else 0.0
+          for n in range(dim)] for k in range(len(band))]
+    )
+    assert_allclose(band / band[0], want / want[0], rtol=1e-14, atol=0)
+    assert_allclose(band, want, rtol=0, atol=1e-14 * want.max())
 
 
 class TestDisplacedThermalMatrix:
