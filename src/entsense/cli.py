@@ -62,7 +62,7 @@ from typing import Any, Callable
 import numpy as np
 import scipy
 
-from . import EntsenseError, __version__
+from . import EntsenseError, __version__, _integer
 from .communication import (
     capacity_classical,
     capacity_ea,
@@ -226,10 +226,7 @@ def _nonnegative(name: str, value: Any) -> float:
 
 
 def _count(name: str, value: Any) -> int:
-    number = _real(name, value)
-    if not (1.0 <= number < math.inf and number == int(number)):
-        raise ValueError(f"{name} must be an integer >= 1")
-    return int(number)
+    return _integer(name, _real(name, value), 1)
 
 
 def _seed(value: Any) -> int:

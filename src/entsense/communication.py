@@ -62,11 +62,13 @@ class GreenMachineConfig:
     repetitions: int
 
     def __post_init__(self):
-        n = int(self.codeword_len)
+        n, reps = _check_inputs(
+            codeword_len=self.codeword_len, repetitions=self.repetitions
+        )
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("codeword_len must be a power of 2, at least 2")
-        if int(self.repetitions) < 1:
-            raise ValueError("repetitions must be a positive integer")
+        object.__setattr__(self, "codeword_len", n)
+        object.__setattr__(self, "repetitions", reps)
 
 
 class GreenMachinePoint(NamedTuple):
@@ -86,9 +88,9 @@ class BpskHolevo(NamedTuple):
 
 def g_entropy(n: float) -> float:
     """Entropy (bits) of a thermal state with mean photon number ``n``:
-    ``g(n) = (n+1) log2(n+1) - n log2 n``."""
-    if n < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    ``g(n) = (n+1) log2(n+1) - n log2 n``, for a finite ``n >= 0``."""
+    if not 0 <= n < math.inf:
+        raise ValueError("mean photon number must be finite and nonnegative")
     if n == 0:
         return 0.0
     return ((n + 1.0) * math.log1p(n) - n * math.log(n)) / _LN2
@@ -97,13 +99,13 @@ def g_entropy(n: float) -> float:
 def capacity_classical(n_s: float, ch: ChannelParams) -> float:
     """Energy-constrained classical capacity without assistance:
     ``g(kappa n_s + n_b) - g(n_b)`` bits per mode."""
-    _check_inputs(n_s)
+    _check_inputs(n_s=n_s)
     return g_entropy(ch.kappa * n_s + ch.n_b) - g_entropy(ch.n_b)
 
 
 def capacity_ea(n_s: float, ch: ChannelParams) -> float:
     """Entanglement-assisted classical capacity of the thermal-loss channel."""
-    _check_inputs(n_s)
+    _check_inputs(n_s=n_s)
     if n_s == 0:
         return 0.0
     ns_prime = ch.kappa * n_s + ch.n_b
@@ -144,11 +146,7 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     PhotonTailError
         If some row's tail has not closed within ``10**7`` levels.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("x must be a scalar or a 1-D array")
-    if not (np.all(xs >= 0) and e_noise >= 0):
-        raise ValueError("x and e_noise must be nonnegative")
+    xs, e_noise = _check_inputs(x=x, e_noise=e_noise)
     batch = np.atleast_1d(xs)
     out = np.zeros(batch.size)
     g_e = g_entropy(e_noise)
@@ -165,7 +163,7 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
         else:
             raise PhotonTailError("photon-number tail did not close")
         out[i] = max(_shannon_bits(np.array(pmf)) - g_e, 0.0)
-    return out if xs.ndim else float(out[0])
+    return out if np.ndim(xs) else float(out[0])
 
 
 def holevo_c2d_cpsk(
@@ -222,6 +220,8 @@ def holevo_c2d_bpsk(
     tail_tol : largest admissible truncated mass.
     """
     _check_inputs(m=m)
+    if dim is not None and _check_inputs(dim=dim) < 3:
+        raise ValueError("dim must be at least 3")
     params = conversion_params(n_s, ch)
     x = 2.0 * m * params.xi
     if x == 0.0:
@@ -229,8 +229,6 @@ def holevo_c2d_bpsk(
     e_noise = params.e_noise
     if dim is None:
         dim = max(recommended_dim(x, e_noise, tail_tol), 3)
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
     eigs, deficit = _bpsk_mixture_eigvals(x, e_noise, dim, tail_tol)
     entropy = _shannon_bits(np.clip(eigs, 0.0, None))
     value = max((entropy - g_entropy(e_noise)) / m, 0.0)
@@ -272,7 +270,7 @@ def green_machine_rate(
     """Achievable per-symbol rate of the Hadamard-code Green machine,
     averaged over the combined displacement law."""
     params = conversion_params(n_s, ch)
-    n, m = int(cfg.codeword_len), int(cfg.repetitions)
+    n, m = cfg.codeword_len, cfg.repetitions
     val, _ = expect_total_displacement(
         params,
         m,
@@ -297,7 +295,7 @@ def green_machine_optimal_n(
     well-signed (u > 0, v < 0); otherwise falls back to a grid search over
     powers of 2 up to 2**16.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     n_b, kappa = ch.n_b, ch.kappa
     u = (
         -n_s
@@ -375,7 +373,7 @@ def opar_photon_pmfs(
     all returned arrays share the support ``0 .. n_max`` chosen so every
     tail is below 1e-12.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     # scipy.stats costs ~45 MB resident; nothing else in the package needs it.
     from scipy.stats import nbinom
 
@@ -405,7 +403,7 @@ def pcr_count_pmfs(
     unit bins centered on integers; arrays share one support window covering
     all hypotheses to 12 sigma.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     counts = [_pcr_counts(n_s, ch, float(gain), th) for th in thetas]
     mus = [m * mean for mean, _, _ in counts]
     sigmas = [math.sqrt(m * var) for _, _, var in counts]

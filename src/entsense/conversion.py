@@ -70,10 +70,9 @@ class ConversionParams:
     e_noise: float
 
     def __post_init__(self) -> None:
-        if not self.v_m > 0:
-            raise ValueError("v_m must be positive")
-        if self.c_p < 0 or self.e_noise < 0:
-            raise ValueError("c_p and e_noise must be nonnegative")
+        _check_inputs(xi=self.xi, e_noise=self.e_noise)
+        if not (self.v_m > 0 and self.c_p >= 0):
+            raise ValueError("v_m must be positive and c_p nonnegative")
         if abs(self.xi - self.c_p**2 / (4 * self.v_m)) > 1e-12 * max(1.0, self.xi):
             raise ValueError("xi must equal c_p^2 / (4 v_m)")
 
@@ -103,7 +102,7 @@ class ConversionOutcome:
 
 def conversion_params(n_s: float, ch: ChannelParams) -> ConversionParams:
     """Conversion parameters for source brightness ``n_s`` through channel ``ch``."""
-    _check_inputs(n_s)
+    _check_inputs(n_s=n_s)
     v_m = (ch.n_b + ch.kappa * n_s + 1.0) / 2.0
     c_p = math.sqrt(ch.kappa * n_s * (n_s + 1.0))
     xi = c_p**2 / (4.0 * v_m)
@@ -161,8 +160,7 @@ def simulate_conversion(
     ``E|M|^2 = kappa n_s + n_b + 1``; displacements follow
     ``d = (c_p / (2 v_m)) e^{i theta} M^*``.
     """
-    _check_inputs(m=m)
-    m = int(m)
+    m = _check_inputs(m=m)
     params = conversion_params(n_s, ch)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     sigma = math.sqrt(params.v_m)
@@ -245,8 +243,7 @@ def expect_total_displacement(
     QuadratureError
         If 256 panels (eight doublings) still miss ``quad_tol``.
     """
-    _check_inputs(m=m)
-    m = int(m)
+    m = _check_inputs(m=m)
     if not quad_tol > 0:
         raise ValueError("quad_tol must be positive")
     if params.xi == 0.0:

@@ -288,7 +288,7 @@ def p_classical_coherent(n_s: float, ch: ChannelParams, m: int) -> float:
     adds about 1e-14 at Fig. 2a's cutoffs (see
     :func:`_coherent_helstrom_error`).
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     return _coherent_helstrom_error(ch.kappa * m * n_s, ch.n_b)
 
 
@@ -456,7 +456,7 @@ def nair_gu_bound(n_s: float, ch: ChannelParams, m: int) -> float:
     ``exp(-beta m n_s) / 4`` with ``beta = -ln(1 - kappa/(n_b+1))``; its
     limit 0 on the lossless, noiseless channel (``kappa = n_b + 1``).
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     if n_s == 0.0 or ch.kappa == 0.0:
         return 0.25
     ratio = ch.kappa / (ch.n_b + 1.0)
@@ -525,10 +525,11 @@ class PatternHypothesis:
         for kappa, _ in subs:
             if not 0.0 <= kappa <= 1.0:
                 raise ValueError("each kappa must lie in [0, 1]")
-        if not float(self.n_b) > 0:
+        n_b = _check_inputs(n_b=self.n_b)
+        if n_b == 0.0:
             raise ValueError("n_b must be positive")
         object.__setattr__(self, "subchannels", subs)
-        object.__setattr__(self, "n_b", float(self.n_b))
+        object.__setattr__(self, "n_b", n_b)
 
     def deltas(self, other: "PatternHypothesis") -> np.ndarray:
         """Per-subchannel separations |e^{i theta1} sqrt(kappa1) -
@@ -579,11 +580,9 @@ def pattern_exponents(
     if h1.n_b != h2.n_b:
         raise ValueError("hypotheses must share the background brightness")
     deltas = h1.deltas(h2)
-    amps = np.asarray(amps, dtype=float)
-    if amps.shape != deltas.shape:
+    amps = _check_inputs(amps=amps)
+    if np.shape(amps) != deltas.shape:
         raise ValueError("amps must provide one value per subchannel")
-    if np.any(amps < 0):
-        raise ValueError("amps must be nonnegative")
     n_b = h1.n_b
     classical = float(
         np.sum(deltas * amps) * (math.sqrt(n_b + 1.0) - math.sqrt(n_b)) ** 2

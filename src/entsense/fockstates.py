@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from . import _check_inputs
+
 __all__ = [
     "DisplacedThermal",
     "FockMatrix",
     "dephased_pmf",
     "displaced_thermal_matrix",
-    "photon_pmf",
     "recommended_dim",
     "to_fock",
 ]
@@ -44,19 +45,21 @@ class DisplacedThermal:
     Parameters
     ----------
     alpha : complex
-        Mean of the annihilation operator, ``<a>``.
+        Mean of the annihilation operator, ``<a>``, with ``|alpha|^2``
+        finite.
     e_noise : float
-        Thermal photon number, ``>= 0``.
+        Thermal photon number, finite and ``>= 0``.
     """
 
     alpha: complex
     e_noise: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "e_noise", float(self.e_noise))
-        if not self.e_noise >= 0:
-            raise ValueError("e_noise must be nonnegative")
+        alpha = complex(self.alpha)
+        if not abs(alpha) * abs(alpha) < math.inf:  # NaN fails too
+            raise ValueError("alpha must have a finite |alpha|^2")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "e_noise", _check_inputs(e_noise=self.e_noise))
 
     @property
     def amp_sq(self) -> float:
@@ -78,9 +81,7 @@ class FockMatrix:
     tail_tol: float = field(default=_TAIL_TOL)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", _check_inputs(dim=self.dim))
         dtype = complex if np.iscomplexobj(self.entries) else float
         entries = np.array(self.entries, dtype=dtype)
         if entries.shape != (self.dim, self.dim):
@@ -204,26 +205,17 @@ def displaced_thermal_matrix(x, e_noise: float, dim: int) -> np.ndarray:
     ``x = 0`` the thermal state.  A complex ``alpha`` with ``|alpha|^2 = x``
     adds the phase ``e^{i (m - n) arg(alpha)}`` (see :func:`to_fock`).
 
-    Returns shape ``(dim, dim)`` for a scalar ``x >= 0`` and
-    ``(len(x), dim, dim)`` for a 1-D array of them.
+    Returns shape ``(dim, dim)`` for a scalar ``x`` and ``(len(x), dim,
+    dim)`` for a 1-D array of them; ``x`` and ``e_noise`` must be finite
+    and ``>= 0``.
     """
-    xs = np.asarray(x, dtype=float)
-    e = float(e_noise)
-    dim = int(dim)
-    if xs.ndim > 1:
-        raise ValueError("x must be a scalar or a 1-D array")
-    if not np.all(xs >= 0):
-        raise ValueError("x must be nonnegative")
-    if not e >= 0:
-        raise ValueError("e_noise must be nonnegative")
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    xs, e, dim = _check_inputs(x=x, e_noise=e_noise, dim=dim)
     batch = np.atleast_1d(xs)
     rho = np.zeros((batch.size, dim, dim))
     for n, col in enumerate(_laguerre_columns(batch, e, dim, dim)):
         rho[:, n:, n] = col
         rho[:, n, n + 1 :] = col[:, 1:]
-    return rho if xs.ndim else rho[0]
+    return rho if np.ndim(xs) else rho[0]
 
 
 def _check_truncation(
@@ -254,10 +246,7 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = _TAIL_TOL) 
     factor of ``n``; the floor alone underestimates for ``E`` near 1, where
     the geometric tail sheds only ``ln((E+1)/E)`` per level.
     """
-    amp_sq = float(amp_sq)
-    e_noise = float(e_noise)
-    if amp_sq < 0 or e_noise < 0:
-        raise ValueError("amp_sq and e_noise must be nonnegative")
+    amp_sq, e_noise = _check_inputs(amp_sq=amp_sq, e_noise=e_noise)
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     s = amp_sq + e_noise
@@ -413,7 +402,7 @@ def to_fock(
         If the truncation loses more than ``tail_tol`` of the trace; the
         message names the recommended dimension.
     """
-    dim = int(dim)
+    dim = _check_inputs(dim=dim)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     alpha = state.alpha
@@ -443,10 +432,10 @@ def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
     Parameters
     ----------
     x : float or 1-D array of float
-        Squared displacement(s), ``>= 0``.  Each row of a stack is its own
-        walk, bit-identical to the scalar call.
+        Squared displacement(s), finite and ``>= 0``.  Each row of a stack
+        is its own walk, bit-identical to the scalar call.
     e_noise : float
-        Thermal occupation, ``>= 0``.
+        Thermal occupation, finite and ``>= 0``.
     n : int or array of int
         Photon number(s).
 
@@ -456,14 +445,7 @@ def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
         For a scalar ``x``, a float when ``n`` is a scalar and shape
         ``shape(n)`` otherwise; for a stack, shape ``(len(x),) + shape(n)``.
     """
-    xs = np.asarray(x, dtype=float)
-    e = float(e_noise)
-    if xs.ndim > 1:
-        raise ValueError("x must be a scalar or a 1-D array")
-    if not np.all(xs >= 0):
-        raise ValueError("x must be nonnegative")
-    if not e >= 0:
-        raise ValueError("e_noise must be nonnegative")
+    xs, e = _check_inputs(x=x, e_noise=e_noise)
     n_arr = np.atleast_1d(np.asarray(n))
     if not np.issubdtype(n_arr.dtype, np.integer) or np.any(n_arr < 0):
         raise ValueError("n must contain nonnegative integers")
@@ -474,18 +456,9 @@ def dephased_pmf(x, e_noise: float, n) -> float | np.ndarray:
     for row, walk in zip(diag, _pmf_walks(batch, e)):
         row[:] = list(itertools.islice(walk, top))
     result = diag[:, n_arr].reshape(batch.shape + np.shape(n))
-    if xs.ndim:
+    if np.ndim(xs):
         return result
     return float(result[0]) if np.ndim(n) == 0 else result[0]
-
-
-def photon_pmf(state: DisplacedThermal, n) -> float | np.ndarray:
-    """Photon-number pmf of a displaced thermal state.
-
-    Depends on the displacement only through ``|alpha|^2``; see
-    :func:`dephased_pmf` for the closed form and conventions.
-    """
-    return dephased_pmf(state.amp_sq, state.e_noise, n)
 
 
 def _bpsk_mixture_eigvals(

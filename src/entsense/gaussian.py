@@ -104,8 +104,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
-        if not 0.0 <= self.n_b < math.inf:
-            raise ValueError("n_b must be finite and nonnegative")
+        _check_inputs(n_b=self.n_b)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -138,7 +137,7 @@ def tmsv(n_s: float) -> GaussianState:
     Zero mean; covariance has diagonal blocks ``(2 n_s + 1) I`` and
     off-diagonal blocks ``2 sqrt(n_s (n_s + 1)) Z``.
     """
-    _check_inputs(n_s)
+    _check_inputs(n_s=n_s)
     z = np.diag([1.0, -1.0])
     eye = np.eye(2)
     c = 2.0 * math.sqrt(n_s * (n_s + 1.0))

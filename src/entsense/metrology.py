@@ -113,7 +113,7 @@ def qfi_c2d(n_s: float, ch: ChannelParams, m: int) -> float:
     ``4 m kappa n_s (n_s+1) / (1 + n_b + n_s (2 n_b + 2 - kappa))``,
     algebraically equal to ``8 m xi / (1 + 2 E)``.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     return (
         4.0 * m * ch.kappa * n_s * (n_s + 1.0)
         / (1.0 + ch.n_b + n_s * (2.0 * ch.n_b + 2.0 - ch.kappa))
@@ -123,7 +123,7 @@ def qfi_c2d(n_s: float, ch: ChannelParams, m: int) -> float:
 def qfi_cs(n_s: float, ch: ChannelParams, m: int) -> float:
     """Phase Fisher information of coherent-state probes of the same
     per-mode energy: ``4 m kappa n_s / (1 + 2 n_b)``."""
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     return 4.0 * m * ch.kappa * n_s / (1.0 + 2.0 * ch.n_b)
 
 
@@ -133,7 +133,7 @@ def qfi_upper_bound(n_s: float, ch: ChannelParams, m: int) -> float:
     Uses the environment brightness ``n_b' = n_b / (1 - kappa)``; the
     lossless point ``kappa = 1`` is outside the bound's domain.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     if ch.kappa >= 1.0:
         raise ValueError("the upper bound requires kappa < 1")
     kappa = ch.kappa
@@ -150,7 +150,7 @@ def qfi_upper_bound(n_s: float, ch: ChannelParams, m: int) -> float:
 def qfi_tmsv(n_s: float, ch: ChannelParams, m: int) -> float:
     """Phase QFI of the noisy channel output of two-mode squeezed vacuum:
     ``4 m kappa n_s (n_s+1) / (1 + n_b (1 + 2 n_s) + n_s (1 - kappa))``."""
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     return (
         4.0 * m * ch.kappa * n_s * (n_s + 1.0)
         / (1.0 + ch.n_b * (1.0 + 2.0 * n_s) + n_s * (1.0 - ch.kappa))
@@ -164,8 +164,7 @@ def fi_homodyne(x: float, e_noise: float, theta_plus_comp: float) -> float:
     ``theta_plus_comp`` is the displaced phase plus the local-oscillator
     compensation angle; no adaptive policy is applied here.
     """
-    if x < 0 or e_noise < 0:
-        raise ValueError("x and e_noise must be nonnegative")
+    x, e_noise = _check_inputs(x=x, e_noise=e_noise)
     return 4.0 * x / (1.0 + 2.0 * e_noise) * math.sin(theta_plus_comp) ** 2
 
 
@@ -178,7 +177,7 @@ def opar_optimal_gain(n_s: float, ch: ChannelParams) -> float:
     source (``n_b' > n_s + 1``), which holds throughout the quantum
     illumination regime.
     """
-    _check_inputs(n_s)
+    _check_inputs(n_s=n_s)
     nbp = ch.n_b + ch.kappa * n_s + 1.0
     den = (nbp - n_s - 1.0) * (nbp + n_s)
     if den <= 0:
@@ -200,7 +199,7 @@ def fi_opar(
     phase-sensitive cross term.  ``gain=None`` selects
     :func:`opar_optimal_gain`.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
     _, amp, var = _opar_counts(n_s, ch, g, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0
@@ -216,6 +215,6 @@ def fi_pcr(
     and their correlation ``C_CI``.  The default exposes the ``G = 2``
     specialization.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     _, amp, var = _pcr_counts(n_s, ch, float(gain), theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0

@@ -63,19 +63,10 @@ class DolinarConfig:
     noise_nb: float = 0.0
 
     def __post_init__(self):
-        # a boolean is not a count or an occupation, though it compares as one
-        for name in ("slices", "trials", "noise_nb"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        for name in ("slices", "trials"):
-            value = getattr(self, name)
-            if not (1 <= value < math.inf and value == int(value)):
-                raise ValueError(f"{name} must be a positive integer")
-        if not 0 <= self.noise_nb < math.inf:
-            raise ValueError("noise_nb must be finite and nonnegative")
-        object.__setattr__(self, "slices", int(self.slices))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "noise_nb", float(self.noise_nb))
+        names = ("slices", "trials", "noise_nb")
+        checked = _check_inputs(**{name: getattr(self, name) for name in names})
+        for name, value in zip(names, checked):
+            object.__setattr__(self, name, value)
 
 
 def pe_homodyne(alpha_r: float) -> float:
@@ -124,8 +115,7 @@ def _thermal_kick(gen: np.random.Generator, e_noise: float, n: int) -> np.ndarra
     """``n`` draws from the positive P-function of a thermal state of mean
     occupation ``e_noise``: complex amplitudes with ``|r|^2`` exponential of
     mean ``e_noise`` and uniform phase.  A Poisson count of mean
-    ``|alpha + r|^2`` then follows ``photon_pmf(DisplacedThermal(alpha,
-    e_noise), .)``."""
+    ``|alpha + r|^2`` then follows ``dephased_pmf(|alpha|^2, e_noise, .)``."""
     radius = np.sqrt(gen.exponential(e_noise, size=n))
     return radius * np.exp(2j * np.pi * gen.random(n))
 
@@ -319,7 +309,7 @@ def opar_pe(
     gain : float, optional
         Amplifier gain ``G >= 1``; defaults to the weak-signal optimum.
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     if gain is None:
         if ch.n_b <= 0:
             raise ValueError(
@@ -361,7 +351,7 @@ def pcr_pe(n_s: float, ch: ChannelParams, m: int) -> float:
     m : int
         Number of copies (the Gaussian approximation assumes ``m >> 1``).
     """
-    _check_inputs(n_s, m)
+    _check_inputs(n_s=n_s, m=m)
     mu0, _, var0 = _pcr_counts(n_s, replace(ch, kappa=0.0), 2.0, 0.0)
     mu1, _, var1 = _pcr_counts(n_s, ch, 2.0, 0.0)
     rate = (mu1 - mu0) ** 2 / (4.0 * (var0 + var1))

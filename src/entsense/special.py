@@ -26,14 +26,6 @@ __all__ = [
 ]
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is a finite,
-    nonnegative integer of any numeric type (``1.5`` is not truncated)."""
-    if not (0 <= value < math.inf and value == int(value)):
-        raise ValueError(f"{name} must be a nonnegative integer")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based splittable random stream.
@@ -55,11 +47,11 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        seed = _index(self.root_seed, "root_seed")
+        seed, index = _check_inputs(root_seed=self.root_seed, stream_index=self.stream_index)
         if seed >= 2**64:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "root_seed", seed)
-        object.__setattr__(self, "stream_index", _index(self.stream_index, "stream_index"))
+        object.__setattr__(self, "stream_index", index)
 
     def generator(self) -> np.random.Generator:
         """Return the generator for this stream."""
@@ -76,7 +68,7 @@ class RngStream:
             ``(root_seed, stream_index, trial)``.
         """
         seq = np.random.SeedSequence(
-            (self.root_seed, self.stream_index, _index(trial, "trial"))
+            (self.root_seed, self.stream_index, _check_inputs(trial=trial))
         )
         return np.random.Generator(np.random.Philox(seq))
 
@@ -127,14 +119,11 @@ def sample_scaled_chi2(m: int, xi: float, rng, size=None):
     m : int
         Number of combined readouts (half the degrees of freedom).
     xi : float
-        Positive scale.
+        Scale, finite and ``>= 0``.
     rng : RngStream or numpy.random.Generator
     size : int or tuple, optional
         ``None`` returns a scalar.
     """
-    _check_inputs(m=m)
-    m = int(m)
-    if not xi > 0:
-        raise ValueError("xi must be positive")
+    m, xi = _check_inputs(m=m, xi=xi)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     return xi * gen.chisquare(2 * m, size=size)

@@ -55,8 +55,9 @@ class TestGEntropy:
         assert_allclose(g_entropy(n), series, rtol=1e-10)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            g_entropy(-0.5)
+        for n in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                g_entropy(n)
 
 
 class TestCapacityClassical:

@@ -19,7 +19,6 @@ from entsense.fockstates import (
     _bpsk_mixture_eigvals,
     dephased_pmf,
     displaced_thermal_matrix,
-    photon_pmf,
     recommended_dim,
     to_fock,
 )
@@ -166,7 +165,7 @@ class TestPhotonPmf:
         e = 0.7
         n = np.arange(30)
         assert_allclose(
-            photon_pmf(DisplacedThermal(0.0, e), n),
+            dephased_pmf(0.0, e, n),
             e**n / (1 + e) ** (n + 1),
             rtol=1e-12,
         )
@@ -174,22 +173,20 @@ class TestPhotonPmf:
     def test_poisson_at_zero_noise(self):
         n = np.arange(25)
         assert_allclose(
-            photon_pmf(DisplacedThermal(1.3j, 0.0), n),
+            dephased_pmf(abs(1.3j) ** 2, 0.0, n),
             scipy.stats.poisson(1.69).pmf(n),
             rtol=1e-10,
         )
 
     def test_sums_to_one_and_matches_matrix_diagonal(self):
-        state = DisplacedThermal(math.sqrt(0.5), 0.2)
         dim = recommended_dim(0.5, 0.2)
-        n = np.arange(dim)
-        pmf = photon_pmf(state, n)
+        pmf = dephased_pmf(0.5, 0.2, np.arange(dim))
         assert abs(pmf.sum() - 1.0) < 1e-10
-        fm = to_fock(state, dim)
+        fm = to_fock(DisplacedThermal(math.sqrt(0.5), 0.2), dim)
         assert np.max(np.abs(pmf - np.diag(fm.entries).real)) < 1e-9
 
     def test_scalar_input(self):
-        p = photon_pmf(DisplacedThermal(0.0, 0.0), 0)
+        p = dephased_pmf(0.0, 0.0, 0)
         assert isinstance(p, float) and p == 1.0
 
 
@@ -208,17 +205,14 @@ class TestDephasedPmf:
         assert_allclose(got, want, rtol=1e-6, atol=1e-13)
 
     def test_matches_angular_average(self):
+        # the pmf depends on alpha only through |alpha|^2: the Fock
+        # diagonal at every phase of sqrt(x) e^{i phi} is the same pmf
         x, e = 0.3, 0.05
-        n = np.arange(12)
+        dim = recommended_dim(x, e)
         thetas = np.arange(64) * (2 * math.pi / 64)
-        avg = np.mean(
-            [
-                photon_pmf(DisplacedThermal(math.sqrt(x) * np.exp(1j * t), e), n)
-                for t in thetas
-            ],
-            axis=0,
-        )
-        assert np.max(np.abs(dephased_pmf(x, e, n) - avg)) < 1e-9
+        states = [DisplacedThermal(math.sqrt(x) * np.exp(1j * t), e) for t in thetas]
+        diagonals = [np.diag(to_fock(state, dim).entries).real for state in states]
+        assert np.max(np.abs(dephased_pmf(x, e, np.arange(dim)) - diagonals)) < 1e-9
 
     def test_large_n_underflows_gracefully(self):
         p = dephased_pmf(0.5, 0.01, 800)

@@ -1,12 +1,18 @@
 """Input rule of every public entry point.
 
-Each public function (or public-class method) that takes the source
-brightness ``n_s`` or the mode count ``m`` must reject a negative or
-non-finite ``n_s`` and a mode count below 1 or non-finite with
-``ValueError``.  The entry points are found by walking each module's
-``__all__``, so a new one without a call template below fails here, and
-so does a stale ``__all__`` name (the benchmark tracer wraps every name
-of its layers' ``__all__`` by ``getattr``).
+Each public function, public-class method and constructor that takes an
+occupation or squared displacement (``n_s``, ``x``, ``amp_sq``,
+``e_noise``, ``xi``, ``noise_nb``, ``n_b``, ``amps``) or a count (``m``,
+``dim``, ``slices``, ``trials``, ``repetitions``, ``codeword_len`` and the
+random-stream keys ``root_seed``, ``stream_index``, ``trial``) must raise
+``ValueError`` naming it for every value in ``BAD``: an occupation that is
+negative, infinite, NaN or boolean, or a stack with such an entry; a count
+that is fractional, infinite, NaN, boolean or below 1 (below 0 for a
+stream key).  The functions and methods are found by walking each
+module's ``__all__``, so a new one without a call template below fails
+here, and so does a stale ``__all__`` name (the benchmark tracer wraps
+every name of its layers' ``__all__`` by ``getattr``).  The constructors
+are listed in ``CONSTRUCTORS``.
 """
 
 import importlib
@@ -18,8 +24,9 @@ import pytest
 
 import entsense
 from entsense import communication, conversion, discrimination, gaussian
-from entsense import metrology, receivers, special
+from entsense import fockstates, metrology, receivers, special
 from entsense.communication import GreenMachineConfig
+from entsense.discrimination import PatternHypothesis
 from entsense.gaussian import ChannelParams
 
 NS, M = 1e-3, 10
@@ -27,9 +34,22 @@ CH = ChannelParams(kappa=0.1, theta=0.0, n_b=1.0)
 PARAMS = conversion.conversion_params(NS, CH)
 THETAS = (0.0, math.pi)
 
+HYP = PatternHypothesis(((0.3, 0.0),), 10.0)
+
+OCCUPATION = (-1e-3, math.nan, math.inf, True)
+STACK = OCCUPATION + (np.array([0.5, math.nan]),)
+COUNT = (0, -3, 2.5, math.nan, math.inf, True)
+KEY = (-1, 2.5, math.nan, math.inf, np.True_)
+# input name -> (values it must reject, the message they raise)
 BAD = {
-    "n_s": ((-1e-3, math.nan, math.inf), "n_s must be finite and nonnegative"),
-    "m": ((0, -3, 2.5, math.nan), "m must be a positive integer"),
+    name: (values, f"{name} {message}")
+    for values, message, names in (
+        (OCCUPATION, "must be finite and nonnegative", "n_s amp_sq e_noise xi noise_nb n_b"),
+        (STACK, "must be finite and nonnegative", "x amps"),
+        (COUNT, "must be a positive integer", "m dim slices trials repetitions codeword_len"),
+        (KEY, "must be a nonnegative integer", "root_seed stream_index trial"),
+    )
+    for name in names.split()
 }
 
 
@@ -40,7 +60,24 @@ def _rng():
 # entry point -> call at the valid point; its keyword parameters are the
 # inputs under test
 CALLS = {
-    "special.sample_scaled_chi2": lambda m=M: special.sample_scaled_chi2(m, 0.1, _rng()),
+    "special.sample_scaled_chi2": (
+        lambda m=M, xi=0.1: special.sample_scaled_chi2(m, xi, _rng())
+    ),
+    "special.RngStream.trial_generator": (
+        lambda trial=3: special.RngStream(1).trial_generator(trial)
+    ),
+    "fockstates.dephased_pmf": (
+        lambda x=0.5, e_noise=0.1: fockstates.dephased_pmf(x, e_noise, 3)
+    ),
+    "fockstates.displaced_thermal_matrix": (
+        lambda x=0.5, e_noise=0.1, dim=4: fockstates.displaced_thermal_matrix(x, e_noise, dim)
+    ),
+    "fockstates.recommended_dim": (
+        lambda amp_sq=0.5, e_noise=0.1: fockstates.recommended_dim(amp_sq, e_noise)
+    ),
+    "fockstates.to_fock": (
+        lambda dim=20: fockstates.to_fock(fockstates.DisplacedThermal(0.1, 0.0), dim)
+    ),
     "gaussian.tmsv": lambda n_s=NS: gaussian.tmsv(n_s),
     "conversion.conversion_params": lambda n_s=NS: conversion.conversion_params(n_s, CH),
     "conversion.simulate_conversion": (
@@ -60,6 +97,12 @@ CALLS = {
     "discrimination.p_c2d": lambda n_s=NS, m=M: discrimination.p_c2d(n_s, CH, m),
     "discrimination.p_classical_coherent": (
         lambda n_s=NS, m=M: discrimination.p_classical_coherent(n_s, CH, m)
+    ),
+    "discrimination.pattern_exponents": (
+        lambda amps=(0.01,): discrimination.pattern_exponents(HYP, HYP, amps)
+    ),
+    "metrology.fi_homodyne": (
+        lambda x=0.5, e_noise=0.1: metrology.fi_homodyne(x, e_noise, 1.0)
     ),
     "metrology.fi_opar": lambda n_s=NS, m=M: metrology.fi_opar(n_s, CH, m, 1.0),
     "metrology.fi_pcr": lambda n_s=NS, m=M: metrology.fi_pcr(n_s, CH, m, 1.0),
@@ -82,7 +125,10 @@ CALLS = {
         lambda n_s=NS: communication.green_machine_rate(n_s, CH, GreenMachineConfig(4, M))
     ),
     "communication.holevo_c2d_bpsk": (
-        lambda n_s=NS, m=M: communication.holevo_c2d_bpsk(n_s, CH, m)
+        lambda n_s=NS, m=M, dim=None: communication.holevo_c2d_bpsk(n_s, CH, m, dim)
+    ),
+    "communication.holevo_cpsk_conditional": (
+        lambda x=0.5, e_noise=0.1: communication.holevo_cpsk_conditional(x, e_noise)
     ),
     "communication.holevo_c2d_cpsk": (
         lambda n_s=NS, m=M: communication.holevo_c2d_cpsk(n_s, CH, m)
@@ -95,6 +141,32 @@ CALLS = {
     ),
     "receivers.opar_pe": lambda n_s=NS, m=M: receivers.opar_pe(n_s, CH, m),
     "receivers.pcr_pe": lambda n_s=NS, m=M: receivers.pcr_pe(n_s, CH, m),
+}
+
+# public constructor -> construction at the valid point, as in CALLS
+CONSTRUCTORS = {
+    "communication.GreenMachineConfig": (
+        lambda codeword_len=4, repetitions=M: GreenMachineConfig(codeword_len, repetitions)
+    ),
+    "conversion.ConversionParams": (
+        lambda xi=PARAMS.xi, e_noise=PARAMS.e_noise: conversion.ConversionParams(
+            PARAMS.v_m, PARAMS.c_p, xi, e_noise
+        )
+    ),
+    "discrimination.PatternHypothesis": lambda n_b=10.0: PatternHypothesis(((0.3, 0.0),), n_b),
+    "fockstates.DisplacedThermal": (
+        lambda e_noise=0.1: fockstates.DisplacedThermal(0.5, e_noise)
+    ),
+    "fockstates.FockMatrix": lambda dim=1: fockstates.FockMatrix(dim, np.eye(1)),
+    "gaussian.ChannelParams": lambda n_b=1.0: ChannelParams(0.1, 0.0, n_b),
+    "receivers.DolinarConfig": (
+        lambda slices=10, trials=100, noise_nb=0.1: receivers.DolinarConfig(
+            slices, trials, noise_nb
+        )
+    ),
+    "special.RngStream": (
+        lambda root_seed=1, stream_index=0: special.RngStream(root_seed, stream_index)
+    ),
 }
 
 
@@ -112,8 +184,8 @@ def _checked_inputs(func) -> set[str]:
 
 
 def _entry_points() -> dict[str, set[str]]:
-    """Public functions and public-class methods that take ``n_s`` or
-    ``m``, keyed ``module.name`` or ``module.Class.method``, with the
+    """Public functions and public-class methods that take an input named
+    in ``BAD``, keyed ``module.name`` or ``module.Class.method``, with the
     inputs they take."""
     found = {}
     for mod_name in MODULES:
@@ -142,15 +214,34 @@ def test_entry_point_rejects_bad_n_s_and_m(name):
     assert name in CALLS, f"public entry point {name} has no call template"
     call = CALLS[name]
     assert _checked_inputs(call) == ENTRY_POINTS[name]
+    _assert_rejects_bad_inputs(call)
+
+
+def _assert_rejects_bad_inputs(call):
     call()
-    for arg in sorted(ENTRY_POINTS[name]):
+    for arg in sorted(_checked_inputs(call)):
         values, message = BAD[arg]
         for value in values:
             with pytest.raises(ValueError, match=message):
                 call(**{arg: value})
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructor_rejects_bad_fields(name):
+    module_name, cls_name = name.split(".")
+    cls = getattr(importlib.import_module(f"entsense.{module_name}"), cls_name)
+    make = CONSTRUCTORS[name]
+    assert _checked_inputs(make) == _checked_inputs(cls)
+    _assert_rejects_bad_inputs(make)
+
+
 @pytest.mark.parametrize("n_b", [-1e-3, math.nan, math.inf])
 def test_channel_rejects_bad_n_b(n_b):
     with pytest.raises(ValueError, match="n_b must be finite and nonnegative"):
         ChannelParams(0.01, 0.0, n_b)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, complex(0.0, math.inf), 1e200])
+def test_displaced_thermal_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must have a finite"):
+        fockstates.DisplacedThermal(alpha, 0.0)

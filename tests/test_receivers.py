@@ -13,7 +13,7 @@ from entsense.conversion import conversion_params
 from entsense.discrimination import helstrom_numeric, p_c2d
 from entsense.fockstates import (
     DisplacedThermal,
-    photon_pmf,
+    dephased_pmf,
     recommended_dim,
     to_fock,
 )
@@ -226,7 +226,8 @@ def _sample_photons(state, n_samples, stream):
 def _gof_pvalue(state, n_samples, stream):
     counts = _sample_photons(state, n_samples, stream)
     observed = np.bincount(counts).astype(float)
-    expected = photon_pmf(state, np.arange(observed.size)) * n_samples
+    pmf = dephased_pmf(state.amp_sq, state.e_noise, np.arange(observed.size))
+    expected = pmf * n_samples
     # lump the right tail so every expected cell holds at least 5 counts
     while expected[-1] < 5.0 and expected.size > 2:
         expected[-2] += expected[-1]
@@ -239,8 +240,8 @@ def _gof_pvalue(state, n_samples, stream):
 
 class TestDisplacedThermalSampling:
     """The noisy Dolinar trials draw their photons as ``_sample_photons``
-    does and weigh them with ``dephased_pmf``; the draws must follow
-    ``photon_pmf``, or the receiver's likelihoods describe another state."""
+    does and weigh them with ``dephased_pmf``; the draws must follow that
+    pmf, or the receiver's likelihoods describe another state."""
 
     def test_matches_pmf(self):
         state = DisplacedThermal(math.sqrt(0.5), 0.2)
