@@ -69,13 +69,22 @@ def _integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be a {('nonnegative', 'positive')[least]} integer")
 
 
+def _at_least(name: str, value, least: float) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite, not boolean
+    and at least ``least``."""
+    if not isinstance(value, (bool, np.bool_)) and least <= value < math.inf:
+        return float(value)
+    raise ValueError(f"{name} must be finite and at least {least:g}")
+
+
 # input name -> (rule, its bound): occupations and squared displacements
-# (``x`` and ``amps`` may be 1-D stacks), then counts and random-stream keys
+# (``x`` and ``amps`` may be 1-D stacks), counts, stream keys and the gain
 _RULES = {
     **dict.fromkeys("n_s n_b e_noise noise_nb amp_sq xi".split(), (_nonnegative, 0)),
     **dict.fromkeys("x amps".split(), (_nonnegative, 1)),
     **dict.fromkeys("m dim slices trials repetitions codeword_len".split(), (_integer, 1)),
     **dict.fromkeys("root_seed stream_index trial".split(), (_integer, 0)),
+    "gain": (_at_least, 1.0),
 }
 
 

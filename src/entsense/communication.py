@@ -8,6 +8,7 @@ converted outputs, and Shannon information of photon-counting receivers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.special import lambertw, ndtr
 
 from . import EntsenseError, _check_inputs
-from .conversion import conversion_params, expect_total_displacement
+from .conversion import ConversionParams, conversion_params, expect_total_displacement
 from .discrimination import _golden_section_min
 from .fockstates import _bpsk_mixture_eigvals, _pmf_walks, recommended_dim
 from .gaussian import ChannelParams
@@ -264,20 +265,20 @@ def _green_machine_rate_given_x(
     return np.clip(out, 0.0, None)
 
 
+def _green_machine_rate(params: ConversionParams, n: int, m: int, quad_tol: float) -> float:
+    val, _ = expect_total_displacement(
+        params, m, lambda xs: _green_machine_rate_given_x(xs, params.e_noise, n, m), quad_tol
+    )
+    return max(val, 0.0)
+
+
 def green_machine_rate(
     n_s: float, ch: ChannelParams, cfg: GreenMachineConfig, quad_tol: float = 1e-6
 ) -> float:
     """Achievable per-symbol rate of the Hadamard-code Green machine,
     averaged over the combined displacement law."""
     params = conversion_params(n_s, ch)
-    n, m = cfg.codeword_len, cfg.repetitions
-    val, _ = expect_total_displacement(
-        params,
-        m,
-        lambda xs: _green_machine_rate_given_x(xs, params.e_noise, n, m),
-        quad_tol=quad_tol,
-    )
-    return max(val, 0.0)
+    return _green_machine_rate(params, cfg.codeword_len, cfg.repetitions, quad_tol)
 
 
 def _nearest_power_of_two(value: float) -> int:
@@ -285,17 +286,7 @@ def _nearest_power_of_two(value: float) -> int:
     return max(2, 2 ** int(k))
 
 
-def green_machine_optimal_n(
-    n_s: float, ch: ChannelParams, m: int, quad_tol: float = 1e-6
-) -> int:
-    """Codeword length maximizing the Green-machine rate.
-
-    Uses the weak-signal stationary point ``n* = -u / (v W(-u e / v))``
-    rounded to the nearest power of 2 when the expansion coefficients are
-    well-signed (u > 0, v < 0); otherwise falls back to a grid search over
-    powers of 2 up to 2**16.
-    """
-    _check_inputs(n_s=n_s, m=m)
+def _green_machine_optimal_n(n_s: float, ch: ChannelParams, m: int, quad_tol: float) -> int:
     n_b, kappa = ch.n_b, ch.kappa
     u = (
         -n_s
@@ -314,13 +305,23 @@ def green_machine_optimal_n(
         w = float(lambertw(-u * math.e / v).real)
         if w > 0.0:
             return _nearest_power_of_two(-u / (v * w))
-    best_n, best_rate = 2, -1.0
-    for k in range(1, 17):
-        n = 2**k
-        rate = green_machine_rate(n_s, ch, GreenMachineConfig(n, m), quad_tol)
-        if rate > best_rate:
-            best_n, best_rate = n, rate
-    return best_n
+    params = conversion_params(n_s, ch)
+    rates = {2**k: _green_machine_rate(params, 2**k, m, quad_tol) for k in range(1, 17)}
+    return max(rates, key=rates.get)  # the first of equal rates
+
+
+def green_machine_optimal_n(
+    n_s: float, ch: ChannelParams, m: int, quad_tol: float = 1e-6
+) -> int:
+    """Codeword length maximizing the Green-machine rate.
+
+    Uses the weak-signal stationary point ``n* = -u / (v W(-u e / v))``
+    rounded to the nearest power of 2 when the expansion coefficients are
+    well-signed (u > 0, v < 0); otherwise falls back to a grid search over
+    powers of 2 up to 2**16.
+    """
+    _check_inputs(n_s=n_s, m=m)
+    return _green_machine_optimal_n(n_s, ch, m, quad_tol)
 
 
 def green_machine_optimize(
@@ -330,34 +331,32 @@ def green_machine_optimize(
 
     Golden-section search on log2(M) followed by integer hill refinement;
     the codeword length tracks :func:`green_machine_optimal_n` throughout.
+    Each M is evaluated once per search: the hill climb revisits points,
+    and their rates are remembered.
     """
     params = conversion_params(n_s, ch)
     if params.xi == 0.0:
         return GreenMachinePoint(0.0, 1, 2)
 
-    def rate_at(m: int) -> float:
-        n = green_machine_optimal_n(n_s, ch, m, quad_tol)
-        return green_machine_rate(n_s, ch, GreenMachineConfig(n, m), quad_tol)
+    @functools.cache
+    def point_at(m: int) -> GreenMachinePoint:
+        n = _green_machine_optimal_n(n_s, ch, m, quad_tol)
+        return GreenMachinePoint(_green_machine_rate(params, n, m, quad_tol), m, n)
 
     log_m, _ = _golden_section_min(
-        lambda t: -rate_at(max(1, round(2.0**t))), 0.0, 24.0, 0.01
+        lambda t: -point_at(max(1, round(2.0**t))).rate, 0.0, 24.0, 0.01
     )
-    best_m = max(1, round(2.0**log_m))
-    best_rate = rate_at(best_m)
-    step = max(1, best_m // 256)
+    best = point_at(max(1, round(2.0**log_m)))
+    step = max(1, best.repetitions // 256)
     while True:
         moved = False
-        for cand in (best_m - step, best_m + step):
-            if cand >= 1:
-                r = rate_at(cand)
-                if r > best_rate:
-                    best_m, best_rate, moved = cand, r, True
+        for cand in (best.repetitions - step, best.repetitions + step):
+            if cand >= 1 and point_at(cand).rate > best.rate:
+                best, moved = point_at(cand), True
         if not moved:
             if step == 1:
-                break
+                return best
             step = max(1, step // 2)
-    n_star = green_machine_optimal_n(n_s, ch, best_m, quad_tol)
-    return GreenMachinePoint(best_rate, best_m, n_star)
 
 
 def opar_photon_pmfs(
@@ -377,7 +376,7 @@ def opar_photon_pmfs(
     # scipy.stats costs ~45 MB resident; nothing else in the package needs it.
     from scipy.stats import nbinom
 
-    g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
+    g = opar_optimal_gain(n_s, ch) if gain is None else _check_inputs(gain=gain)
     counts = [_opar_counts(n_s, ch, g, th) for th in thetas]
     n_max = 0
     for nbar, _, var in counts:
@@ -403,8 +402,8 @@ def pcr_count_pmfs(
     unit bins centered on integers; arrays share one support window covering
     all hypotheses to 12 sigma.
     """
-    _check_inputs(n_s=n_s, m=m)
-    counts = [_pcr_counts(n_s, ch, float(gain), th) for th in thetas]
+    _, _, gain = _check_inputs(n_s=n_s, m=m, gain=gain)
+    counts = [_pcr_counts(n_s, ch, gain, th) for th in thetas]
     mus = [m * mean for mean, _, _ in counts]
     sigmas = [math.sqrt(m * var) for _, _, var in counts]
     lo = math.floor(min(mu - 12.0 * s for mu, s in zip(mus, sigmas)))

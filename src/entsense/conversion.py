@@ -11,6 +11,8 @@ quadrature engine for integrals against that law.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -199,14 +201,32 @@ def displacement_support(params: ConversionParams, m: int) -> float:
     return float(chdtri(2 * m, _QUANTILE_MAP_TAIL) * params.xi)
 
 
-def _panel_integral(f_weighted: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).reshape(-1)
-    vals = np.asarray(f_weighted(pts), dtype=float).reshape(len(lo), -1)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
+@functools.cache
+def _quantile_map_levels(*panel_counts: int) -> tuple:
+    """The m-independent part of the levels of ``panel_counts`` uniform
+    panels on [0, 1], read-only: ``((half-widths, node slice) per level,
+    t <= 0.5, t > 0.5, s(t) at the first, 1 - s(t) at the second, t^3,
+    (1 - t)^3)`` at the levels' nodes ``t`` in turn.  The quantile map's
+    7th-order smoothstep s has s' vanishing cubically at both ends, which
+    tames the quantile's logarithmic divergence as s -> 1, and 1 - s(t) is
+    formed from 1 - t, so the upper tail never rounds s to 1.0."""
+    levels, ts = [], []
+    for n_panels, start in zip(panel_counts, itertools.accumulate(panel_counts, initial=0)):
+        edges = np.linspace(0.0, 1.0, n_panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        levels.append((half, slice(16 * start, 16 * (start + n_panels))))
+        ts.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).reshape(-1))
+    t = np.concatenate(ts)
+    r = 1.0 - t
+    low = t <= 0.5
+    tl, rh = t[low], r[~low]
+    ul = tl**4 * (35.0 - 84.0 * tl + 70.0 * tl**2 - 20.0 * tl**3)
+    uh = rh**4 * (35.0 - 84.0 * rh + 70.0 * rh**2 - 20.0 * rh**3)
+    arrays = (low, ~low, ul, uh, t**3, r**3)
+    for a in (*arrays, *(half for half, _ in levels)):
+        a.setflags(write=False)
+    return (tuple(levels), *arrays)
 
 
 def expect_total_displacement(
@@ -223,7 +243,7 @@ def expect_total_displacement(
     panels on the chi-square quantile map at every ``m``: one panel of 16
     nodes is compared with two, and the panel count doubles until two
     successive levels agree, returning the finer one.  A smooth integrand
-    converges at the first comparison, 48 evaluations of ``f`` in two calls.
+    converges at the first comparison, 48 evaluations of ``f`` in one call.
     The nodes stay inside ``[0, displacement_support(params, m)]``.
 
     Parameters
@@ -251,35 +271,25 @@ def expect_total_displacement(
 
     xi = params.xi
 
-    def weighted(t: np.ndarray) -> np.ndarray:
-        # Quantile map u = s(t) with a 7th-order smoothstep: s' vanishes
-        # cubically at both endpoints, which tames the ppf's unbounded
-        # derivative there (the quantile diverges logarithmically as
-        # u -> 1).  The complement 1 - s(t) is formed from 1 - t directly
-        # and fed to the inverse survival function, so the upper tail
-        # never rounds u to 1.0.  These are scipy.stats.chi2's own ppf
-        # and isf, minus the ~45 MB resident cost of importing it.
-        r = 1.0 - t
-        low = t <= 0.5
-        x = np.empty_like(t)
-        tl, rh = t[low], r[~low]
-        ul = tl**4 * (35.0 - 84.0 * tl + 70.0 * tl**2 - 20.0 * tl**3)
-        uh = rh**4 * (35.0 - 84.0 * rh + 70.0 * rh**2 - 20.0 * rh**3)
+    def level_values(*panel_counts: int) -> list[float]:
+        levels, low, high, ul, uh, t3, r3 = _quantile_map_levels(*panel_counts)
+        # scipy.stats.chi2's own ppf and isf, minus the ~45 MB resident
+        # cost of importing it
+        x = np.empty(low.size)
         x[low] = 2.0 * gammaincinv(m, ul) * xi
-        x[~low] = chdtri(2 * m, uh) * xi
-        return np.asarray(f(x)) * 140.0 * t**3 * r**3
+        x[high] = chdtri(2 * m, uh) * xi
+        vals = np.asarray(f(x)) * 140.0 * t3 * r3
+        return [
+            float(np.sum(half * (vals[nodes].reshape(half.size, -1) @ _GL_WEIGHTS)))
+            for half, nodes in levels
+        ]
 
-    def level_value(n_panels: int) -> float:
-        return _panel_integral(weighted, np.linspace(0.0, 1.0, n_panels + 1))
-
-    n_panels = 1
-    prev = level_value(n_panels)
-    for _ in range(8):
-        n_panels *= 2
-        cur = level_value(n_panels)
+    prev, cur = level_values(1, 2)
+    for n_panels in (2, 4, 8, 16, 32, 64, 128, 256):
+        if n_panels > 2:
+            prev, (cur,) = cur, level_values(n_panels)
         change = abs(cur - prev)
         achieved = change / max(abs(cur), 1e-300)
-        prev = cur
         if achieved <= quad_tol:
             return cur, achieved
     raise QuadratureError(

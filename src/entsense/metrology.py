@@ -200,7 +200,7 @@ def fi_opar(
     :func:`opar_optimal_gain`.
     """
     _check_inputs(n_s=n_s, m=m)
-    g = opar_optimal_gain(n_s, ch) if gain is None else float(gain)
+    g = opar_optimal_gain(n_s, ch) if gain is None else _check_inputs(gain=gain)
     _, amp, var = _opar_counts(n_s, ch, g, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0
 
@@ -215,6 +215,6 @@ def fi_pcr(
     and their correlation ``C_CI``.  The default exposes the ``G = 2``
     specialization.
     """
-    _check_inputs(n_s=n_s, m=m)
-    _, amp, var = _pcr_counts(n_s, ch, float(gain), theta)
+    _, _, gain = _check_inputs(n_s=n_s, m=m, gain=gain)
+    _, amp, var = _pcr_counts(n_s, ch, gain, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0

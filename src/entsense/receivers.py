@@ -253,9 +253,7 @@ def _opar_counts(
     """Per-copy OPAR photon count at displaced phase ``theta``:
     ``(mean, amplitude, variance)`` with mean = G N_S + (G-1)(kappa N_S +
     N_B + 1) + amplitude cos(theta), amplitude = 2 sqrt(G(G-1) kappa N_S
-    (N_S+1)) and the thermal variance mean (mean + 1)."""
-    if gain < 1.0:
-        raise ValueError("gain must be at least 1")
+    (N_S+1)) and the thermal variance mean (mean + 1), for a checked gain."""
     amp = 2.0 * math.sqrt(gain * (gain - 1.0) * ch.kappa * n_s * (1.0 + n_s))
     mean = (
         gain * n_s
@@ -312,10 +310,9 @@ def opar_pe(
     _check_inputs(n_s=n_s, m=m)
     if gain is None:
         if ch.n_b <= 0:
-            raise ValueError(
-                "the default gain requires n_b > 0; pass gain explicitly"
-            )
+            raise ValueError("the default gain requires n_b > 0; pass gain explicitly")
         gain = 1.0 + math.sqrt(n_s / (ch.n_b * (ch.n_b + 1.0)))
+    gain = _check_inputs(gain=gain)
     mu0, _, var0 = _opar_counts(n_s, replace(ch, kappa=0.0), gain, 0.0)
     mu1, _, var1 = _opar_counts(n_s, ch, gain, 0.0)
     if mu1 == mu0:

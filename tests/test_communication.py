@@ -12,6 +12,7 @@ from entsense import communication
 from entsense.communication import (
     BpskHolevo,
     GreenMachineConfig,
+    GreenMachinePoint,
     PhotonTailError,
     capacity_classical,
     capacity_ea,
@@ -393,6 +394,30 @@ class TestGreenMachineOptimize:
     def test_no_coupling(self):
         pt = green_machine_optimize(0.5, ChannelParams(0.0, 0.0, 1.0))
         assert pt.rate == 0.0
+
+    @pytest.mark.parametrize(
+        "n_s, rate, repetitions, codeword_len",
+        [
+            (0.0007660287044755255, "0x1.8336d3f2e179ap-22", 26488, 128),
+            (0.00726623600253616, "0x1.cf5beb1abf8ebp-20", 33480, 16),
+        ],
+    )
+    def test_benchmark_points_evaluate_each_m_once(
+        self, n_s, rate, repetitions, codeword_len, monkeypatch
+    ):
+        # the operating points of the benchmark's two comm strata, bit for
+        # bit as the search without remembered rates found them
+        seen = []
+        rate_of = communication._green_machine_rate
+
+        def counted(params, n, m, quad_tol):
+            seen.append(m)
+            return rate_of(params, n, m, quad_tol)
+
+        monkeypatch.setattr(communication, "_green_machine_rate", counted)
+        pt = green_machine_optimize(n_s, FIG5)
+        assert pt == GreenMachinePoint(float.fromhex(rate), repetitions, codeword_len)
+        assert type(pt.rate) is float and len(seen) == len(set(seen)) > 20
 
 
 class TestShannonPhotonCounting:

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.stats
 from numpy.testing import assert_allclose
+from scipy.special import chdtri, gammaincinv
 
-from entsense import communication, discrimination
+from entsense import communication, conversion, discrimination
 from entsense.communication import GreenMachineConfig
 from entsense.conversion import (
     QuadratureError,
@@ -203,13 +204,17 @@ class TestExpectTotalDisplacement:
         assert displacement_support(vacuum, 9) == 0.0
 
     def test_quantile_map_matches_scipy_stats(self):
-        # The map evaluates scipy.stats.chi2's ppf/isf expressions directly.
+        # The map evaluates scipy.stats.chi2's ppf/isf expressions directly,
+        # at the nodes of one panel and then of two, all in the first call.
         p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
         seen = []
         expect_total_displacement(p, 4, lambda x: seen.append(x) or np.ones_like(x))
-        edges = np.linspace(0.0, 1.0, 2)
         nodes, _ = np.polynomial.legendre.leggauss(16)
-        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * nodes).ravel()
+        t = np.concatenate([
+            (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * nodes)
+            for edges in (np.linspace(0.0, 1.0, n + 1) for n in (1, 2))
+        ], axis=None)
+        assert seen[0].shape == (48,)
 
         def smooth(v):
             return v**4 * (35.0 - 84.0 * v + 70.0 * v**2 - 20.0 * v**3)
@@ -321,3 +326,109 @@ def test_quadrature_against_1024_panel_reference(name, monkeypatch):
     assert error <= quad_tol
     assert max(achieved, 1e-13) >= error
     assert sum(sizes) == 48
+
+
+def _per_level_engine(params, m, f, quad_tol=1e-6):
+    """``expect_total_displacement`` as a per-level formula: each level's
+    nodes built from scratch and handed to ``f`` in a call of their own,
+    with the engine's floating-point operations in the engine's order."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    xi = params.xi
+
+    def weighted(t):
+        r = 1.0 - t
+        low = t <= 0.5
+        x = np.empty_like(t)
+        tl, rh = t[low], r[~low]
+        ul = tl**4 * (35.0 - 84.0 * tl + 70.0 * tl**2 - 20.0 * tl**3)
+        uh = rh**4 * (35.0 - 84.0 * rh + 70.0 * rh**2 - 20.0 * rh**3)
+        x[low] = 2.0 * gammaincinv(m, ul) * xi
+        x[~low] = chdtri(2 * m, uh) * xi
+        return np.asarray(f(x)) * 140.0 * t**3 * r**3
+
+    def level(n_panels):
+        edges = np.linspace(0.0, 1.0, n_panels + 1)
+        lo, hi = edges[:-1], edges[1:]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        pts = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+        vals = np.asarray(weighted(pts), dtype=float).reshape(len(lo), -1)
+        return float(np.sum(half * (vals @ weights)))
+
+    n_panels = 1
+    prev = level(n_panels)
+    for _ in range(8):
+        n_panels *= 2
+        cur = level(n_panels)
+        change = abs(cur - prev)
+        achieved = change / max(abs(cur), 1e-300)
+        prev = cur
+        if achieved <= quad_tol:
+            return cur, achieved
+    raise QuadratureError(
+        f"quadrature did not reach tolerance {quad_tol:.3e} "
+        f"after {n_panels} panels", achieved, cur, change
+    )
+
+
+# chi-square scales xi from 1e-7 to 0.2
+ENGINE_PARAMS = [
+    conversion_params(n_s, ChannelParams(kappa, 0.0, n_b))
+    for n_s, kappa, n_b in ((0.3, 0.5, 2.0), (1e-3, 0.01, 20.0), (1e-4, 0.01, 100.0), (2.0, 0.9, 0.1))
+]
+
+
+def _engine_integrand(kind, params, m):
+    mean, std = 2 * m * params.xi, 2 * math.sqrt(m) * params.xi
+    if kind == "smooth":
+        return lambda x: np.exp(-x / mean)
+    if kind == "green machine":
+        return lambda x: communication._green_machine_rate_given_x(x, params.e_noise, 64, m)
+    return lambda x: np.cos(2.5 * (x - mean) / std)  # 4 to 9 levels
+
+
+@pytest.mark.parametrize("m", [1, 7, 10**4, 3 * 10**8])
+@pytest.mark.parametrize("kind", ["smooth", "green machine", "oscillating"])
+def test_engine_matches_per_level_formula(kind, m):
+    # bit for bit, the first two levels in one call of 48 nodes and each
+    # later level in one call of its own
+    for params in ENGINE_PARAMS:
+        f = _engine_integrand(kind, params, m)
+        sizes = []
+
+        def counted(x, f=f):
+            sizes.append(x.size)
+            return f(x)
+
+        assert expect_total_displacement(params, m, counted) == _per_level_engine(params, m, f)
+        assert sizes == [48] + [16 * 2**k for k in range(2, len(sizes) + 1)]
+        assert len(sizes) >= 3 or kind != "oscillating"
+
+
+def test_engine_failure_matches_per_level_formula():
+    p = conversion_params(0.3, ChannelParams(0.5, 0.0, 2.0))
+    scale = 2 * 4 * p.xi
+
+    def f(x):
+        return np.sin(2e4 * x / scale)
+
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    with pytest.raises(QuadratureError) as want:
+        _per_level_engine(p, 4, f, 1e-12)
+    with pytest.raises(QuadratureError) as got:
+        expect_total_displacement(p, 4, counted, quad_tol=1e-12)
+    assert str(got.value) == str(want.value)
+    assert sizes == [48, 64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def test_quantile_map_levels_are_read_only():
+    levels, *arrays = conversion._quantile_map_levels(1, 2)
+    assert [(half.size, nodes) for half, nodes in levels] == [(1, slice(0, 16)), (2, slice(16, 48))]
+    for a in (*arrays, *(half for half, _ in levels)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]

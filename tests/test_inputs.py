@@ -4,12 +4,13 @@ Each public function, public-class method and constructor that takes an
 occupation or squared displacement (``n_s``, ``x``, ``amp_sq``,
 ``e_noise``, ``xi``, ``noise_nb``, ``n_b``, ``amps``) or a count (``m``,
 ``dim``, ``slices``, ``trials``, ``repetitions``, ``codeword_len`` and the
-random-stream keys ``root_seed``, ``stream_index``, ``trial``) must raise
-``ValueError`` naming it for every value in ``BAD``: an occupation that is
-negative, infinite, NaN or boolean, or a stack with such an entry; a count
-that is fractional, infinite, NaN, boolean or below 1 (below 0 for a
-stream key).  The functions and methods are found by walking each
-module's ``__all__``, so a new one without a call template below fails
+random-stream keys ``root_seed``, ``stream_index``, ``trial``) or an
+amplifier ``gain`` must raise ``ValueError`` naming it for every value in
+``BAD``: an occupation that is negative, infinite, NaN or boolean, or a
+stack with such an entry; a count that is fractional, infinite, NaN,
+boolean or below 1 (below 0 for a stream key); a gain that is below 1,
+infinite, NaN or boolean.  The functions and methods are found by walking
+each module's ``__all__``, so a new one without a call template below fails
 here, and so does a stale ``__all__`` name (the benchmark tracer wraps
 every name of its layers' ``__all__`` by ``getattr``).  The constructors
 are listed in ``CONSTRUCTORS``.
@@ -40,6 +41,7 @@ OCCUPATION = (-1e-3, math.nan, math.inf, True)
 STACK = OCCUPATION + (np.array([0.5, math.nan]),)
 COUNT = (0, -3, 2.5, math.nan, math.inf, True)
 KEY = (-1, 2.5, math.nan, math.inf, np.True_)
+GAIN = (0.5, math.nan, math.inf, True)
 # input name -> (values it must reject, the message they raise)
 BAD = {
     name: (values, f"{name} {message}")
@@ -48,6 +50,7 @@ BAD = {
         (STACK, "must be finite and nonnegative", "x amps"),
         (COUNT, "must be a positive integer", "m dim slices trials repetitions codeword_len"),
         (KEY, "must be a nonnegative integer", "root_seed stream_index trial"),
+        (GAIN, "must be finite and at least 1", "gain"),
     )
     for name in names.split()
 }
@@ -104,8 +107,12 @@ CALLS = {
     "metrology.fi_homodyne": (
         lambda x=0.5, e_noise=0.1: metrology.fi_homodyne(x, e_noise, 1.0)
     ),
-    "metrology.fi_opar": lambda n_s=NS, m=M: metrology.fi_opar(n_s, CH, m, 1.0),
-    "metrology.fi_pcr": lambda n_s=NS, m=M: metrology.fi_pcr(n_s, CH, m, 1.0),
+    "metrology.fi_opar": (
+        lambda n_s=NS, m=M, gain=None: metrology.fi_opar(n_s, CH, m, 1.0, gain)
+    ),
+    "metrology.fi_pcr": (
+        lambda n_s=NS, m=M, gain=2.0: metrology.fi_pcr(n_s, CH, m, 1.0, gain)
+    ),
     "metrology.opar_optimal_gain": lambda n_s=NS: metrology.opar_optimal_gain(n_s, CH),
     "metrology.qfi_c2d": lambda n_s=NS, m=M: metrology.qfi_c2d(n_s, CH, m),
     "metrology.qfi_cs": lambda n_s=NS, m=M: metrology.qfi_cs(n_s, CH, m),
@@ -134,12 +141,12 @@ CALLS = {
         lambda n_s=NS, m=M: communication.holevo_c2d_cpsk(n_s, CH, m)
     ),
     "communication.opar_photon_pmfs": (
-        lambda n_s=NS, m=M: communication.opar_photon_pmfs(n_s, CH, m, THETAS)
+        lambda n_s=NS, m=M, gain=None: communication.opar_photon_pmfs(n_s, CH, m, THETAS, gain)
     ),
     "communication.pcr_count_pmfs": (
-        lambda n_s=NS, m=M: communication.pcr_count_pmfs(n_s, CH, m, THETAS)
+        lambda n_s=NS, m=M, gain=2.0: communication.pcr_count_pmfs(n_s, CH, m, THETAS, gain)
     ),
-    "receivers.opar_pe": lambda n_s=NS, m=M: receivers.opar_pe(n_s, CH, m),
+    "receivers.opar_pe": lambda n_s=NS, m=M, gain=None: receivers.opar_pe(n_s, CH, m, gain),
     "receivers.pcr_pe": lambda n_s=NS, m=M: receivers.pcr_pe(n_s, CH, m),
 }
 
