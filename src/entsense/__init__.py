@@ -33,11 +33,19 @@ class EntsenseError(Exception):
     bad arguments raise ``ValueError`` instead."""
 
 
-def _nonnegative(name: str, value, max_ndim: int):
-    """``value`` as a float, or as a float array where a 1-D stack is
-    allowed (``max_ndim`` 1); ``ValueError`` if it is boolean or some
-    entry is negative, infinite or NaN."""
-    if type(value) is float and 0.0 <= value < math.inf:
+# the finite floats nearest inf and 0: with bounds of +-_MAX ``low <= value
+# <= high`` rejects inf and NaN as well, and a lower bound of _TINY means > 0
+_MAX, _TINY = math.nextafter(math.inf, 0.0), math.nextafter(0.0, 1.0)
+
+
+def _bounded(name: str, value, bounds: tuple):
+    """``value`` as a float, or as a float array where ``bounds`` allows a
+    1-D stack; ``ValueError`` if it is boolean or some entry lies outside
+    ``[low, high]``.  ``bounds`` is ``(low, high, 1 for a stack or 0, the
+    range as the message states it)``, with finite ``low`` and ``high``, so
+    inf and NaN fail too."""
+    low, high, max_ndim, text = bounds
+    if type(value) is float and low <= value <= high:
         return value  # the common case, without numpy's overhead
     xs = np.asarray(value)
     if xs.ndim > max_ndim:
@@ -46,14 +54,14 @@ def _nonnegative(name: str, value, max_ndim: int):
     if xs.dtype != bool:
         if xs.ndim == 0:
             number = float(xs)
-            if 0.0 <= number < math.inf:
+            if low <= number <= high:
                 return number
         else:
             xs = xs.astype(float, copy=False)
-            # both reductions start at 0, so an empty stack passes; NaN fails
-            if 0.0 <= xs.min(initial=0.0) and xs.max(initial=0.0) < math.inf:
+            # both reductions start at low, so an empty stack passes; NaN fails
+            if low <= xs.min(initial=low) and xs.max(initial=low) <= high:
                 return xs
-    raise ValueError(f"{name} must be finite and nonnegative")
+    raise ValueError(f"{name} must be {text}")
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -69,22 +77,23 @@ def _integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be a {('nonnegative', 'positive')[least]} integer")
 
 
-def _at_least(name: str, value, least: float) -> float:
-    """``value`` as a float; ``ValueError`` unless it is finite, not boolean
-    and at least ``least``."""
-    if not isinstance(value, (bool, np.bool_)) and least <= value < math.inf:
-        return float(value)
-    raise ValueError(f"{name} must be finite and at least {least:g}")
-
-
-# input name -> (rule, its bound): occupations and squared displacements
-# (``x`` and ``amps`` may be 1-D stacks), counts, stream keys and the gain
+_OCCUPATION = (0.0, _MAX, 0, "finite and nonnegative")
+# input name -> (rule, its bounds): occupations and squared displacements
+# (``x`` and ``amps`` may be 1-D stacks), fractions, phases (``thetas`` is a
+# stack), tolerances, tail masses, the gain, counts and stream keys
 _RULES = {
-    **dict.fromkeys("n_s n_b e_noise noise_nb amp_sq xi".split(), (_nonnegative, 0)),
-    **dict.fromkeys("x amps".split(), (_nonnegative, 1)),
-    **dict.fromkeys("m dim slices trials repetitions codeword_len".split(), (_integer, 1)),
+    **dict.fromkeys("n_s n_b e_noise noise_nb amp_sq xi".split(), (_bounded, _OCCUPATION)),
+    **dict.fromkeys("x amps".split(), (_bounded, (0.0, _MAX, 1, "finite and nonnegative"))),
+    **dict.fromkeys("kappa p0".split(), (_bounded, (0.0, 1.0, 0, "in [0, 1]"))),
+    "theta": (_bounded, (-_MAX, _MAX, 0, "finite")),
+    "thetas": (_bounded, (-_MAX, _MAX, 1, "finite")),
+    **dict.fromkeys(("quad_tol", "fd_step"), (_bounded, (_TINY, _MAX, 0, "finite and positive"))),
+    **dict.fromkeys(("tail_tol", "tail_mass"), (_bounded, (_TINY, 1.0, 0, "in (0, 1]"))),
+    "gain": (_bounded, (1.0, _MAX, 0, "finite and at least 1")),
+    **dict.fromkeys(
+        "m dim slices trials repetitions codeword_len num_modes subchannels".split(), (_integer, 1)
+    ),
     **dict.fromkeys("root_seed stream_index trial".split(), (_integer, 0)),
-    "gain": (_at_least, 1.0),
 }
 
 
@@ -92,9 +101,16 @@ def _check_inputs(**values):
     """The input rule of every public function and constructor: check each
     keyword by its name's rule in ``_RULES`` and return the checked values
     in order (the value itself for one keyword): floats (float arrays for
-    a stack) for occupations, ints for counts."""
+    a stack) for real inputs, ints for counts."""
     checked = []
     for name, value in values.items():
         rule, bound = _RULES[name]
         checked.append(rule(name, value, bound))
     return checked[0] if len(checked) == 1 else tuple(checked)
+
+
+def _check_fields(obj, *names) -> None:
+    """Check the named fields of the frozen dataclass ``obj`` by their rules
+    and store the checked values in place."""
+    for name in names:
+        object.__setattr__(obj, name, _check_inputs(**{name: getattr(obj, name)}))

@@ -62,7 +62,7 @@ from typing import Any, Callable
 import numpy as np
 import scipy
 
-from . import EntsenseError, __version__, _integer
+from . import EntsenseError, __version__, _check_inputs, _integer
 from .communication import (
     capacity_classical,
     capacity_ea,
@@ -132,7 +132,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _as_grid(name: str, raw: Any, low: float, high: float = math.inf) -> tuple[float, ...]:
+def _as_grid(name: str, raw: Any, rule: str) -> tuple:
+    """A grid, given as its text or as a list of numbers, with each value
+    checked by the library's input rule for ``rule``."""
     try:
         if isinstance(raw, Mapping):  # iterating one would read its keys
             raise TypeError("a mapping is not a grid")
@@ -141,10 +143,7 @@ def _as_grid(name: str, raw: Any, low: float, high: float = math.inf) -> tuple[f
         raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
     if not values:
         raise ValueError(f"{name} grid must not be empty")
-    for v in values:
-        if not (math.isfinite(v) and low <= v <= high):
-            raise ValueError(f"{name} grid values must be finite and in [{low:g}, {high:g}]")
-    return values
+    return tuple(_check_inputs(**{rule: v}) for v in values)
 
 
 @dataclass(frozen=True)
@@ -173,14 +172,11 @@ class SweepConfig:
                 f"unknown subcommand {self.subcommand!r}; "
                 f"expected one of {tuple(_SUBCOMMANDS)}"
             )
-        object.__setattr__(self, "ns", _as_grid("ns", self.ns, 0.0))
-        object.__setattr__(self, "nb", _as_grid("nb", self.nb, 0.0))
-        object.__setattr__(self, "kappa", _as_grid("kappa", self.kappa, 0.0, 1.0))
-        m_values = _as_grid("m", self.m, 1.0)
-        object.__setattr__(self, "m", tuple(_count("m", v) for v in m_values))
+        for name, rule in (("ns", "n_s"), ("nb", "n_b"), ("kappa", "kappa"), ("m", "m")):
+            object.__setattr__(self, name, _as_grid(name, getattr(self, name), rule))
         object.__setattr__(self, "seed", _seed(self.seed))
-        quad_tol = _finite("quad_tol", self.quad_tol)
-        if not 0.0 < quad_tol <= 1e-2:
+        quad_tol = _checked("quad_tol", self.quad_tol)
+        if quad_tol > 1e-2:
             raise ValueError("quad_tol must lie in (0, 1e-2]")
         object.__setattr__(self, "quad_tol", quad_tol)
         if not isinstance(self.output_path, str) or not self.output_path:
@@ -211,22 +207,9 @@ def _real(name: str, value: Any) -> float:
         raise ValueError(f"{name} must be a number") from exc
 
 
-def _finite(name: str, value: Any) -> float:
-    value = _real(name, value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    return value
-
-
-def _nonnegative(name: str, value: Any) -> float:
-    value = _finite(name, value)
-    if value < 0.0:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return value
-
-
-def _count(name: str, value: Any) -> int:
-    return _integer(name, _real(name, value), 1)
+def _checked(name: str, value: Any):
+    """A value whose name has a library input rule, checked by that rule."""
+    return _check_inputs(**{name: _real(name, value)})
 
 
 def _seed(value: Any) -> int:
@@ -590,13 +573,13 @@ class _Option:
 
 
 _OPTIONS = {
-    "theta": _Option(math.pi / 2.0, _finite, "encoded phase (default pi/2)"),
-    "subchannels": _Option(3, _count, "cells per pattern (default 3)"),
+    "theta": _Option(math.pi / 2.0, _checked, "encoded phase (default pi/2)"),
+    "subchannels": _Option(3, _checked, "cells per pattern (default 3)"),
     "receiver": _Option("dolinar", _choice(*_RECEIVERS), "receiver: " + ", ".join(_RECEIVERS)),
     "alpha": _Option(((1.0, 0.0),), _amplitudes, "comma-separated complex amplitudes"),
-    "slices": _Option(50, _count, "time slices per measurement"),
-    "trials": _Option(10_000, _count, "Monte Carlo trials per amplitude"),
-    "noise_nb": _Option(0.0, _nonnegative, "thermal occupation of the noise"),
+    "slices": _Option(50, _checked, "time slices per measurement"),
+    "trials": _Option(10_000, _checked, "Monte Carlo trials per amplitude"),
+    "noise_nb": _Option(0.0, _checked, "thermal occupation of the noise"),
     "which": _Option(None, _choice(*_PRESETS), "preset id: " + ", ".join(_PRESETS)),
 }
 
@@ -660,11 +643,9 @@ def _run_task(task):
 
 
 def _resolve_threads(explicit: Any) -> int:
-    if explicit is not None:
-        return _count("threads", explicit)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        return _count(THREADS_ENV_VAR, env)
+    for name, value in (("threads", explicit), (THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR))):
+        if value is not None:
+            return _integer(name, _real(name, value), 1)
     return os.cpu_count() or 1
 
 

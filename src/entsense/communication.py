@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import lambertw, ndtr
 
-from . import EntsenseError, _check_inputs
+from . import _OCCUPATION, EntsenseError, _bounded, _check_fields, _check_inputs
 from .conversion import ConversionParams, conversion_params, expect_total_displacement
 from .discrimination import _golden_section_min
 from .fockstates import _bpsk_mixture_eigvals, _pmf_walks, recommended_dim
@@ -63,13 +63,10 @@ class GreenMachineConfig:
     repetitions: int
 
     def __post_init__(self):
-        n, reps = _check_inputs(
-            codeword_len=self.codeword_len, repetitions=self.repetitions
-        )
+        _check_fields(self, "codeword_len", "repetitions")
+        n = self.codeword_len
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("codeword_len must be a power of 2, at least 2")
-        object.__setattr__(self, "codeword_len", n)
-        object.__setattr__(self, "repetitions", reps)
 
 
 class GreenMachinePoint(NamedTuple):
@@ -90,8 +87,7 @@ class BpskHolevo(NamedTuple):
 def g_entropy(n: float) -> float:
     """Entropy (bits) of a thermal state with mean photon number ``n``:
     ``g(n) = (n+1) log2(n+1) - n log2 n``, for a finite ``n >= 0``."""
-    if not 0 <= n < math.inf:
-        raise ValueError("mean photon number must be finite and nonnegative")
+    n = _bounded("n", n, _OCCUPATION)
     if n == 0:
         return 0.0
     return ((n + 1.0) * math.log1p(n) - n * math.log(n)) / _LN2
@@ -147,7 +143,7 @@ def holevo_cpsk_conditional(x, e_noise: float, tail_mass: float = 1e-12):
     PhotonTailError
         If some row's tail has not closed within ``10**7`` levels.
     """
-    xs, e_noise = _check_inputs(x=x, e_noise=e_noise)
+    xs, e_noise, tail_mass = _check_inputs(x=x, e_noise=e_noise, tail_mass=tail_mass)
     batch = np.atleast_1d(xs)
     out = np.zeros(batch.size)
     g_e = g_entropy(e_noise)
@@ -183,6 +179,7 @@ def holevo_c2d_cpsk(
     :func:`holevo_cpsk_conditional`.  With ``with_achieved`` it returns
     ``(value, achieved_tolerance)``.
     """
+    _check_inputs(quad_tol=quad_tol)
     params = conversion_params(n_s, ch)
     # tail cut tighter than the scalar default: the integrand is a
     # difference of entropies and the quadrature resolves it well below the
@@ -220,7 +217,7 @@ def holevo_c2d_bpsk(
         never below 3.
     tail_tol : largest admissible truncated mass.
     """
-    _check_inputs(m=m)
+    _check_inputs(m=m, tail_tol=tail_tol)
     if dim is not None and _check_inputs(dim=dim) < 3:
         raise ValueError("dim must be at least 3")
     params = conversion_params(n_s, ch)
@@ -277,6 +274,7 @@ def green_machine_rate(
 ) -> float:
     """Achievable per-symbol rate of the Hadamard-code Green machine,
     averaged over the combined displacement law."""
+    _check_inputs(quad_tol=quad_tol)
     params = conversion_params(n_s, ch)
     return _green_machine_rate(params, cfg.codeword_len, cfg.repetitions, quad_tol)
 
@@ -320,7 +318,7 @@ def green_machine_optimal_n(
     well-signed (u > 0, v < 0); otherwise falls back to a grid search over
     powers of 2 up to 2**16.
     """
-    _check_inputs(n_s=n_s, m=m)
+    _check_inputs(n_s=n_s, m=m, quad_tol=quad_tol)
     return _green_machine_optimal_n(n_s, ch, m, quad_tol)
 
 
@@ -334,6 +332,7 @@ def green_machine_optimize(
     Each M is evaluated once per search: the hill climb revisits points,
     and their rates are remembered.
     """
+    _check_inputs(quad_tol=quad_tol)
     params = conversion_params(n_s, ch)
     if params.xi == 0.0:
         return GreenMachinePoint(0.0, 1, 2)
@@ -372,7 +371,7 @@ def opar_photon_pmfs(
     all returned arrays share the support ``0 .. n_max`` chosen so every
     tail is below 1e-12.
     """
-    _check_inputs(n_s=n_s, m=m)
+    _, _, thetas = _check_inputs(n_s=n_s, m=m, thetas=thetas)
     # scipy.stats costs ~45 MB resident; nothing else in the package needs it.
     from scipy.stats import nbinom
 
@@ -402,7 +401,7 @@ def pcr_count_pmfs(
     unit bins centered on integers; arrays share one support window covering
     all hypotheses to 12 sigma.
     """
-    _, _, gain = _check_inputs(n_s=n_s, m=m, gain=gain)
+    _, _, thetas, gain = _check_inputs(n_s=n_s, m=m, thetas=thetas, gain=gain)
     counts = [_pcr_counts(n_s, ch, gain, th) for th in thetas]
     mus = [m * mean for mean, _, _ in counts]
     sigmas = [math.sqrt(m * var) for _, _, var in counts]
@@ -434,11 +433,12 @@ def shannon_photon_counting(
     p0 = np.asarray(pmf0, dtype=float)
     p1 = np.asarray(pmf1, dtype=float)
     pri = np.asarray(priors, dtype=float)
-    if pri.shape != (2,) or np.any(pri < 0) or abs(pri.sum() - 1.0) > 1e-12:
+    # each test is written to fail at NaN
+    if not (pri.shape == (2,) and np.all(pri >= 0) and abs(pri.sum() - 1.0) <= 1e-12):
         raise ValueError("priors must be two nonnegative numbers summing to 1")
-    if np.any(p0 < -1e-15) or np.any(p1 < -1e-15):
-        raise ValueError("pmfs must be nonnegative")
     for name, p in (("pmf0", p0), ("pmf1", p1)):
+        if not np.all(np.isfinite(p) & (p >= -1e-15)):
+            raise ValueError(f"{name} must be finite and nonnegative")
         if abs(p.sum() - 1.0) > 1e-8:
             raise ValueError(f"{name} is not normalized (sum = {p.sum():.10f})")
     size = max(p0.size, p1.size)

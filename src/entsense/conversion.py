@@ -263,9 +263,7 @@ def expect_total_displacement(
     QuadratureError
         If 256 panels (eight doublings) still miss ``quad_tol``.
     """
-    m = _check_inputs(m=m)
-    if not quad_tol > 0:
-        raise ValueError("quad_tol must be positive")
+    m, quad_tol = _check_inputs(m=m, quad_tol=quad_tol)
     if params.xi == 0.0:
         return float(np.asarray(f(np.array([0.0])))[0]), 0.0
 

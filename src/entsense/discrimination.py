@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import cython_lapack
 
-from . import _check_inputs
+from . import _check_fields, _check_inputs
 from .conversion import (
     ConversionParams,
     conversion_params,
@@ -108,10 +108,9 @@ def helstrom_numeric(rho: FockMatrix, sigma: FockMatrix, p0: float = 0.5) -> flo
     p0 : float
         Prior probability of ``rho``.
     """
+    p0 = _check_inputs(p0=p0)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
     return float(_helstrom_error(rho.entries, sigma.entries, p0))
 
 
@@ -259,6 +258,7 @@ def p_c2d(
     with_achieved : bool
         When true, return ``(probability, achieved_tolerance)``.
     """
+    _check_inputs(quad_tol=quad_tol)
     params, e_noise = _c2d_states(n_s, ch)
     x_hi = displacement_support(params, m)
     dim = fock_dim if fock_dim is not None else max(
@@ -519,17 +519,13 @@ class PatternHypothesis:
     n_b: float
 
     def __post_init__(self):
-        subs = tuple((float(k), float(t)) for k, t in self.subchannels)
+        subs = tuple(_check_inputs(kappa=k, theta=t) for k, t in self.subchannels)
         if not subs:
             raise ValueError("at least one subchannel is required")
-        for kappa, _ in subs:
-            if not 0.0 <= kappa <= 1.0:
-                raise ValueError("each kappa must lie in [0, 1]")
-        n_b = _check_inputs(n_b=self.n_b)
-        if n_b == 0.0:
+        _check_fields(self, "n_b")
+        if self.n_b == 0.0:
             raise ValueError("n_b must be positive")
         object.__setattr__(self, "subchannels", subs)
-        object.__setattr__(self, "n_b", n_b)
 
     def deltas(self, other: "PatternHypothesis") -> np.ndarray:
         """Per-subchannel separations |e^{i theta1} sqrt(kappa1) -

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from . import _check_inputs
+from . import _check_fields, _check_inputs
 
 __all__ = [
     "DisplacedThermal",
@@ -59,7 +59,7 @@ class DisplacedThermal:
         if not abs(alpha) * abs(alpha) < math.inf:  # NaN fails too
             raise ValueError("alpha must have a finite |alpha|^2")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "e_noise", _check_inputs(e_noise=self.e_noise))
+        _check_fields(self, "e_noise")
 
     @property
     def amp_sq(self) -> float:
@@ -81,7 +81,7 @@ class FockMatrix:
     tail_tol: float = field(default=_TAIL_TOL)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_inputs(dim=self.dim))
+        _check_fields(self, "dim", "tail_tol")
         dtype = complex if np.iscomplexobj(self.entries) else float
         entries = np.array(self.entries, dtype=dtype)
         if entries.shape != (self.dim, self.dim):
@@ -246,9 +246,7 @@ def recommended_dim(amp_sq: float, e_noise: float, tail_tol: float = _TAIL_TOL) 
     factor of ``n``; the floor alone underestimates for ``E`` near 1, where
     the geometric tail sheds only ``ln((E+1)/E)`` per level.
     """
-    amp_sq, e_noise = _check_inputs(amp_sq=amp_sq, e_noise=e_noise)
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
+    amp_sq, e_noise, tail_tol = _check_inputs(amp_sq=amp_sq, e_noise=e_noise, tail_tol=tail_tol)
     s = amp_sq + e_noise
     floor_dim = math.ceil(s + 8.0 * math.sqrt(s + 1.0)) + 4
     cap = floor_dim + 64
@@ -402,7 +400,7 @@ def to_fock(
         If the truncation loses more than ``tail_tol`` of the trace; the
         message names the recommended dimension.
     """
-    dim = _check_inputs(dim=dim)
+    dim, tail_tol = _check_inputs(dim=dim, tail_tol=tail_tol)
     if dim < 2:
         raise ValueError("dim must be at least 2")
     alpha = state.alpha

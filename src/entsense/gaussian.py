@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from . import _check_inputs
+from . import _check_fields, _check_inputs
 
 __all__ = [
     "GaussianState",
@@ -31,7 +31,7 @@ __all__ = [
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Symplectic form Omega = direct sum of [[0, 1], [-1, 0]] blocks."""
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(num_modes), j2)
+    return np.kron(np.eye(_check_inputs(num_modes=num_modes)), j2)
 
 
 def _quad_indices(modes: Sequence[int]) -> np.ndarray:
@@ -57,9 +57,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        k = int(self.num_modes)
-        if k < 1:
-            raise ValueError("num_modes must be positive")
+        k = _check_inputs(num_modes=self.num_modes)
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.array(self.cov, dtype=float)
         if mean.shape != (2 * k,):
@@ -102,11 +100,7 @@ class ChannelParams:
     n_b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0, 1]")
-        _check_inputs(n_b=self.n_b)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        _check_fields(self, "kappa", "theta", "n_b")
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,7 @@ def gaussian_qfi(
         If ``Sigma`` or ``R`` is numerically singular (the message names
         the offending matrix).
     """
-    if not fd_step > 0:
-        raise ValueError("fd_step must be positive")
+    theta, fd_step = _check_inputs(theta=theta, fd_step=fd_step)
 
     def derivative(h: float) -> tuple[np.ndarray, np.ndarray]:
         d_plus, s_plus = _to_annihilation(state_fn(theta + h))
@@ -199,7 +198,7 @@ def fi_opar(
     phase-sensitive cross term.  ``gain=None`` selects
     :func:`opar_optimal_gain`.
     """
-    _check_inputs(n_s=n_s, m=m)
+    _, _, theta = _check_inputs(n_s=n_s, m=m, theta=theta)
     g = opar_optimal_gain(n_s, ch) if gain is None else _check_inputs(gain=gain)
     _, amp, var = _opar_counts(n_s, ch, g, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0
@@ -215,6 +214,6 @@ def fi_pcr(
     and their correlation ``C_CI``.  The default exposes the ``G = 2``
     specialization.
     """
-    _, _, gain = _check_inputs(n_s=n_s, m=m, gain=gain)
+    _, _, theta, gain = _check_inputs(n_s=n_s, m=m, theta=theta, gain=gain)
     _, amp, var = _pcr_counts(n_s, ch, gain, theta)
     return m * (amp * math.sin(theta)) ** 2 / var if var else 0.0

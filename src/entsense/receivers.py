@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _check_inputs
+from . import _check_fields, _check_inputs
 from .fockstates import dephased_pmf
 from .gaussian import ChannelParams
 from .special import RngStream
@@ -63,10 +63,7 @@ class DolinarConfig:
     noise_nb: float = 0.0
 
     def __post_init__(self):
-        names = ("slices", "trials", "noise_nb")
-        checked = _check_inputs(**{name: getattr(self, name) for name in names})
-        for name, value in zip(names, checked):
-            object.__setattr__(self, name, value)
+        _check_fields(self, "slices", "trials", "noise_nb")
 
 
 def pe_homodyne(alpha_r: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp1f1 as _scipy_hyp1f1
 
-from . import _check_inputs
+from . import _check_fields, _check_inputs
 
 __all__ = [
     "RngStream",
@@ -47,11 +47,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        seed, index = _check_inputs(root_seed=self.root_seed, stream_index=self.stream_index)
-        if seed >= 2**64:
+        _check_fields(self, "root_seed", "stream_index")
+        if self.root_seed >= 2**64:
             raise ValueError("root_seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "root_seed", seed)
-        object.__setattr__(self, "stream_index", index)
 
     def generator(self) -> np.random.Generator:
         """Return the generator for this stream."""

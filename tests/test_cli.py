@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from entsense import cli, discrimination
+from entsense import _check_inputs, cli, discrimination
 from entsense.cli import SweepConfig, main, parse_grid, run
 from entsense.communication import (
     PhotonTailError,
@@ -594,6 +594,22 @@ BAD_VALUE = [
 ]
 
 
+# (subcommand, setting or option, its library input name, a SweepConfig
+# argument holding a value that input's rule rejects)
+LIBRARY_RULED = [
+    ("illumination", "ns", "n_s", [-1.0]),
+    ("illumination", "nb", "n_b", [math.inf]),
+    ("illumination", "kappa", "kappa", [1.5]),
+    ("illumination", "m", "m", [0.5]),
+    ("illumination", "quad_tol", "quad_tol", 0.0),
+    ("phase", "theta", "theta", math.nan),
+    ("pattern", "subchannels", "subchannels", 0),
+    ("receiver-sim", "slices", "slices", math.inf),
+    ("receiver-sim", "trials", "trials", 2.5),
+    ("receiver-sim", "noise_nb", "noise_nb", -0.5),
+]
+
+
 def _three_ways(tmp_path, subcommand, key, text, stored, arg):
     """argv with the value as a flag, argv with it in a config file, and a
     SweepConfig constructor holding it."""
@@ -636,6 +652,18 @@ class TestOneCheckPerValue:
             assert len(lines) == 1
             messages.append(json.loads(lines[0])["error"])
         assert messages == [str(exc.value)] * 2
+
+    @pytest.mark.parametrize("subcommand, key, rule, arg", LIBRARY_RULED)
+    def test_library_named_values_take_the_library_message(self, subcommand, key, rule, arg):
+        with pytest.raises(ValueError) as library:
+            _check_inputs(**{rule: arg[0] if isinstance(arg, list) else arg})
+        if key in cli._SETTINGS:
+            kwargs = {cli._SETTINGS[key][0]: arg}
+        else:
+            kwargs = {"options": {key: arg}}
+        with pytest.raises(ValueError) as config:
+            SweepConfig(subcommand, **kwargs)
+        assert str(config.value) == str(library.value)
 
 
 class TestPhaseSweep:

@@ -445,6 +445,21 @@ class TestShannonPhotonCounting:
         with pytest.raises(ValueError, match="priors"):
             shannon_photon_counting(p, p, priors=(0.7, 0.7))
 
+    @pytest.mark.parametrize(
+        "pmf0, pmf1, priors, name",
+        [
+            ([math.nan, 1.0], [0.5, 0.5], (0.5, 0.5), "pmf0"),
+            ([0.5, 0.5, math.nan], [0.5, 0.5], (0.5, 0.5), "pmf0"),
+            ([0.5, 0.5], [1.0, math.nan], (0.5, 0.5), "pmf1"),
+            ([1.0, math.inf, -math.inf], [0.5, 0.5], (0.5, 0.5), "pmf0"),
+            ([0.5, 0.5], [1.0, 0.0], (math.nan, math.nan), "priors"),
+            ([0.5, 0.5], [1.0, 0.0], (math.nan, 1.0), "priors"),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, pmf0, pmf1, priors, name):
+        with pytest.raises(ValueError, match=name):
+            shannon_photon_counting(np.array(pmf0), np.array(pmf1), priors=priors)
+
 
 class TestReceiverInformation:
     def test_opar_below_holevo(self):
