@@ -8,6 +8,7 @@ communication (``communication``), and practical receivers (``receivers``).
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -77,15 +78,29 @@ def _integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be a {('nonnegative', 'positive')[least]} integer")
 
 
+def _amplitude(name: str, value, _) -> complex:
+    """``value`` as a complex; ``ValueError`` unless it is a real or complex
+    number, not a boolean, with a finite ``|value|^2``."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        number = complex(value)
+        if abs(number) * abs(number) < math.inf:  # NaN fails too
+            return number
+    raise ValueError(f"{name} must have a finite |{name}|^2")
+
+
 _OCCUPATION = (0.0, _MAX, 0, "finite and nonnegative")
 # input name -> (rule, its bounds): occupations and squared displacements
-# (``x`` and ``amps`` may be 1-D stacks), fractions, phases (``thetas`` is a
-# stack), tolerances, tail masses, the gain, counts and stream keys
+# (``x`` and ``amps`` may be 1-D stacks), complex amplitudes, fractions,
+# phases and real amplitudes (``thetas`` is a stack), tolerances, tail
+# masses, the gain, counts and stream keys
 _RULES = {
     **dict.fromkeys("n_s n_b e_noise noise_nb amp_sq xi".split(), (_bounded, _OCCUPATION)),
     **dict.fromkeys("x amps".split(), (_bounded, (0.0, _MAX, 1, "finite and nonnegative"))),
     **dict.fromkeys("kappa p0".split(), (_bounded, (0.0, 1.0, 0, "in [0, 1]"))),
-    "theta": (_bounded, (-_MAX, _MAX, 0, "finite")),
+    "alpha": (_amplitude, None),
+    **dict.fromkeys(
+        "theta theta_plus_comp alpha_r".split(), (_bounded, (-_MAX, _MAX, 0, "finite"))
+    ),
     "thetas": (_bounded, (-_MAX, _MAX, 1, "finite")),
     **dict.fromkeys(("quad_tol", "fd_step"), (_bounded, (_TINY, _MAX, 0, "finite and positive"))),
     **dict.fromkeys(("tail_tol", "tail_mass"), (_bounded, (_TINY, 1.0, 0, "in (0, 1]"))),

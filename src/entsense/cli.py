@@ -47,7 +47,6 @@ figures
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import itertools
 import json
@@ -120,9 +119,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("log grid must look like log:START:STOP:COUNT")
         start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            count = 0
         if count < 1:
-            raise ValueError("log grid needs at least one point")
+            raise ValueError(f"log grid COUNT must be a positive integer, got {parts[2]!r}")
         if start <= 0.0 or stop <= 0.0:
             raise ValueError("log grid endpoints must be positive")
         return _geomspace(start, stop, count)
@@ -135,12 +137,18 @@ def parse_grid(text: str) -> tuple[float, ...]:
 def _as_grid(name: str, raw: Any, rule: str) -> tuple:
     """A grid, given as its text or as a list of numbers, with each value
     checked by the library's input rule for ``rule``."""
-    try:
-        if isinstance(raw, Mapping):  # iterating one would read its keys
-            raise TypeError("a mapping is not a grid")
-        values = parse_grid(raw) if isinstance(raw, str) else tuple(_real(name, v) for v in raw)
-    except TypeError as exc:
-        raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
+    if isinstance(raw, str):
+        try:
+            values = parse_grid(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from exc
+    else:
+        try:
+            if isinstance(raw, Mapping):  # iterating one would read its keys
+                raise TypeError("a mapping is not a grid")
+            values = tuple(_real(name, v) for v in raw)
+        except TypeError as exc:
+            raise ValueError(f"{name} grid must be a grid string or a list of numbers") from exc
     if not values:
         raise ValueError(f"{name} grid must not be empty")
     return tuple(_check_inputs(**{rule: v}) for v in values)
@@ -235,7 +243,8 @@ def _choice(*values: str) -> Callable[[str, Any], str]:
 
 
 def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
-    """Comma-separated complex literals, or a list of ``[re, im]`` pairs."""
+    """Comma-separated complex literals, or a list of ``[re, im]`` pairs,
+    each amplitude checked by the library's ``alpha`` rule."""
     try:
         if isinstance(raw, str):
             parsed = tuple(complex(tok) for tok in raw.split(",") if tok.strip())
@@ -250,9 +259,8 @@ def _amplitudes(name: str, raw: Any) -> tuple[tuple[float, float], ...]:
         raise ValueError(f"{name} must be a string or a list of [re, im] pairs") from exc
     if not parsed:
         raise ValueError(f"{name} list must not be empty")
-    if not all(cmath.isfinite(a) for a in parsed):
-        raise ValueError(f"{name} values must be finite")
-    return tuple((a.real, a.imag) for a in parsed)
+    amps = [_check_inputs(**{name: a}) for a in parsed]
+    return tuple((a.real, a.imag) for a in amps)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ class GaussianState:
     Parameters
     ----------
     num_modes : int
-    mean : array of length 2K, quadrature ordering q1, p1, ..., qK, pK.
-    cov : real symmetric 2K x 2K covariance (vacuum = identity).
+    mean : finite array of length 2K, quadrature ordering q1, p1, ..., qK, pK.
+    cov : finite real symmetric 2K x 2K covariance (vacuum = identity).
     """
 
     num_modes: int
@@ -64,6 +64,9 @@ class GaussianState:
             raise ValueError(f"mean must have length {2 * k}, got {mean.shape}")
         if cov.shape != (2 * k, 2 * k):
             raise ValueError(f"cov must be {2 * k}x{2 * k}, got {cov.shape}")
+        for name, value in (("mean", mean), ("cov", cov)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
             raise ValueError("cov must be symmetric")
@@ -205,6 +208,8 @@ def condition_on_generaldyne(
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
     if outcome.shape != (idx_b.size,):
         raise ValueError(f"outcome must have length {idx_b.size}")
+    if not np.isfinite(outcome).all():
+        raise ValueError("outcome must be finite")
     try:
         cho = scipy.linalg.cho_factor(state.cov[np.ix_(idx_b, idx_b)] + v_pi)
     except np.linalg.LinAlgError as exc:

@@ -163,7 +163,9 @@ def fi_homodyne(x: float, e_noise: float, theta_plus_comp: float) -> float:
     ``theta_plus_comp`` is the displaced phase plus the local-oscillator
     compensation angle; no adaptive policy is applied here.
     """
-    x, e_noise = _check_inputs(x=x, e_noise=e_noise)
+    x, e_noise, theta_plus_comp = _check_inputs(
+        x=x, e_noise=e_noise, theta_plus_comp=theta_plus_comp
+    )
     return 4.0 * x / (1.0 + 2.0 * e_noise) * math.sin(theta_plus_comp) ** 2
 
 

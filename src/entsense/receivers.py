@@ -73,7 +73,7 @@ def pe_homodyne(alpha_r: float) -> float:
     matters:  P = (1/2) Erfc(alpha_R / sqrt(2)), which decays like
     exp(-alpha_R^2 / 2) at large separation.
     """
-    return 0.5 * math.erfc(float(alpha_r) / math.sqrt(2.0))
+    return 0.5 * math.erfc(_check_inputs(alpha_r=alpha_r) / math.sqrt(2.0))
 
 
 def pe_heterodyne(alpha: complex) -> float:
@@ -86,7 +86,7 @@ def pe_heterodyne(alpha: complex) -> float:
     exceed that indistinguishable-state rate at small amplitude; the
     normalized form is used here.
     """
-    return 0.5 * math.erfc(abs(complex(alpha)) / 2.0)
+    return 0.5 * math.erfc(abs(_check_inputs(alpha=alpha)) / 2.0)
 
 
 def pe_kennedy(alpha: complex) -> float:
@@ -97,7 +97,7 @@ def pe_kennedy(alpha: complex) -> float:
     candidate: P = (1/2) e^{-|alpha|^2}, roughly twice the Helstrom limit
     once |alpha|^2 >> 1.
     """
-    return 0.5 * math.exp(-abs(complex(alpha)) ** 2)
+    return 0.5 * math.exp(-abs(_check_inputs(alpha=alpha)) ** 2)
 
 
 def _wilson_stderr(errors: int, trials: int) -> float:
@@ -228,7 +228,7 @@ def dolinar_simulate(
     trials whose posterior weights both underflow to zero are reset to
     equal weights with a warning.
     """
-    amp = abs(complex(alpha))
+    amp = abs(_check_inputs(alpha=alpha))
     n_batches = -(-cfg.trials // _BATCH)
     if isinstance(rng, RngStream):
         gens = (rng.trial_generator(b) for b in range(n_batches))

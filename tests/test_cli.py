@@ -72,6 +72,18 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid(text)
 
+    @pytest.mark.parametrize("count", ["2.5", "0", "-1", "x"])
+    def test_log_count_message_names_the_grid_and_the_count(self, capsys, count):
+        grid = f"log:1e-3:1e-2:{count}"
+        message = f"ns log grid COUNT must be a positive integer, got '{count}'"
+        with pytest.raises(ValueError) as exc:
+            SweepConfig("illumination", ns=grid)
+        assert str(exc.value) == message
+        assert main(["illumination", "--ns", grid, "--threads", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "exit_status": 2}
+
 
 class TestSweepConfig:
     def test_defaults(self):
@@ -489,8 +501,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, index",
         [
-            # pe_kennedy's |alpha|^2
-            (["receiver-sim", "--receiver", "kennedy", "--alpha", "1,1e200"], 1),
+            # dolinar_simulate's photon-count rate |alpha|^2 / slices, past
+            # numpy's Poisson sampler (an infinite |alpha|^2 is a config error)
+            (["receiver-sim", "--alpha", "1,1e10", "--slices", "2", "--trials", "10"], 1),
             # recommended_dim's ceil(inf)
             (["illumination", "--ns", "1e-3,1e300", "--m", "1"], 1),
             # green_machine_optimal_n's (n_b + 1)^2
@@ -663,6 +676,15 @@ class TestOneCheckPerValue:
             kwargs = {"options": {key: arg}}
         with pytest.raises(ValueError) as config:
             SweepConfig(subcommand, **kwargs)
+        assert str(config.value) == str(library.value)
+
+    @pytest.mark.parametrize("raw", ["1,1e200", [[1.0, 0.0], [0.0, 1e200]]])
+    def test_amplitudes_take_the_library_alpha_message(self, raw):
+        # 1e200 is finite, its square is not
+        with pytest.raises(ValueError) as library:
+            _check_inputs(alpha=1e200)
+        with pytest.raises(ValueError) as config:
+            SweepConfig("receiver-sim", options={"alpha": raw})
         assert str(config.value) == str(library.value)
 
 

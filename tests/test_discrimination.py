@@ -300,6 +300,22 @@ def test_band_solve_matches_dense_svd(amp_sq, n_b):
     assert abs(_coherent_helstrom_error(amp_sq, n_b) - (0.5 - want)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "amp_sq, n_b, want",
+    [
+        (100.0, 1.0, 2.1293202756567098e-09),
+        (100.0, 3.0, 7.459977331036871e-05),
+        (300.0, 3.0, 2.548650179790002e-11),
+    ],
+)
+def test_forward_route_errors_above_the_rounding_floor(amp_sq, n_b, want):
+    # values pinned before the forward route built every diagonal; to 1e-12,
+    # as the last digits follow the BLAS build
+    dim = recommended_dim(amp_sq, n_b)
+    assert fockstates._miller_band(0.25 * amp_sq, n_b, dim) is None  # forward route
+    assert_allclose(_coherent_helstrom_error(amp_sq, n_b), want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("m", [10**4, 10**5, 10**6])
 def test_fig2a_solves_build_their_band_along_the_diagonals(monkeypatch, m):
     # a route guard, not a timing gate: the forward route builds these

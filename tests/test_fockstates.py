@@ -419,7 +419,7 @@ def _assert_same_columns(xs, e, n_rows, n_diags):
         ([0.0], 0.7, 50, 50),  # thermal: only diagonal 0 is nonzero
         ([0.0, 0.0], 0.0, 12, 12),  # the vacuum
         (np.linspace(0.0, 20.0, 33), 0.5, 89, 89),  # a p_c2d node block, dense
-        ([0.025], 20.0, 573, 68),  # Fig. 2a band: 506 full rows, 67 tail rows
+        ([0.025], 20.0, 573, 68),  # 68 diagonals, narrowing over the last 67 rows
         ([14.2], 10.0, 571, 140),
         ([62.5], 1.0, 716, 381),
     ],
@@ -463,7 +463,7 @@ def _forward_band(x, e, dim):
         (75.0, 0.1, 445, 1e-17),  # wide band of a nearly coherent one
         (0.0, 1.0, 37, 1e-17),  # thermal: no off-diagonal entry
         (3.0, 0.5, 20, 1e-17),  # the whole matrix
-        (2.5, 20.0, 693, 1e-200),  # wider than the first forward pass: it doubles
+        (2.5, 20.0, 693, 1e-200),  # wider than 64 + 20 sqrt(x) diagonals
         (75.0, 0.1, 445, 1e-200),
     ],
 )
@@ -520,6 +520,21 @@ def test_band_falls_back_to_the_forward_route(monkeypatch, x, e, dim):
     rho = displaced_thermal_matrix(x, e, dim)
     for k in range(len(band)):
         assert np.array_equal(band[k, : dim - k], np.diagonal(rho, -k))
+
+
+@pytest.mark.parametrize("x, e", [(25.0, 0.1), (75.0, 3.0), (250.0, 1.0)])
+def test_forward_band_is_the_full_lower_band(x, e):
+    # coherent solves' bands (x = amp_sq / 4) whose cutoff passes 64 +
+    # 20 sqrt(x) diagonals: all dim of them are built, bit for bit
+    dim = recommended_dim(4.0 * x, e)
+    assert 64 + 20 * math.sqrt(x) < dim
+    band = fockstates._laguerre_band(x, e, dim)
+    assert band.shape == (dim, dim)
+    rho = displaced_thermal_matrix(x, e, dim)
+    want = np.zeros((dim, dim))
+    for k in range(dim):
+        want[k, : dim - k] = np.diagonal(rho, -k)
+    assert np.array_equal(band, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

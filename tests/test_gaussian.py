@@ -44,6 +44,17 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(1, [0, 0], 0.5 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries_by_field(self, bad):
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            GaussianState(1, [bad, 0.0], np.eye(2))
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="^cov must be finite$"):
+            GaussianState(1, [0.0, 0.0], cov)
+        with pytest.raises(ValueError, match="^cov must be finite$"):
+            GaussianState(1, [0.0, 0.0], np.diag([bad, 1.0]))
+
     def test_complex_means(self):
         st = GaussianState(1, [2.0, 4.0], np.eye(2))
         assert_allclose(st.complex_means(), [1.0 + 2.0j])
@@ -172,6 +183,12 @@ class TestConditioning:
             condition_on_generaldyne(self.state, [0], np.eye(2), [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="V_B \\+ meas_cov is singular"):
             condition_on_generaldyne(self.state, [0], -self.state.cov[:2, :2], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_outcome(self, bad):
+        # it would carry into the conditional mean
+        with pytest.raises(ValueError, match="^outcome must be finite$"):
+            condition_on_generaldyne(tmsv(0.1), [1], np.eye(2), [bad, 0.0])
 
     def test_outcome_averaged_mean_consistency(self):
         # Monte Carlo: averaging the conditional idler mean over heterodyne

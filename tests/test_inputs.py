@@ -5,10 +5,12 @@ input named in ``entsense._RULES`` must raise ``ValueError`` naming it for
 every value in ``BAD``: an occupation or squared displacement (``n_s``,
 ``x``, ``amp_sq``, ``e_noise``, ``xi``, ``noise_nb``, ``n_b``, ``amps``)
 that is negative, infinite, NaN or boolean, or a stack with such an entry;
-a fraction (``kappa``, ``p0``) outside [0, 1]; a phase (``theta``,
-``thetas``) that is infinite, NaN or boolean; a tolerance (``quad_tol``,
-``fd_step``) that is not positive and finite, or a tail mass
-(``tail_tol``, ``tail_mass``) outside (0, 1]; a gain below 1; a count
+a complex amplitude (``alpha``) that is boolean, not a number, or whose
+squared magnitude is infinite or NaN; a fraction (``kappa``, ``p0``)
+outside [0, 1]; a phase or real amplitude (``theta``, ``theta_plus_comp``,
+``alpha_r``, ``thetas``) that is infinite, NaN or boolean; a tolerance
+(``quad_tol``, ``fd_step``) that is not positive and finite, or a tail
+mass (``tail_tol``, ``tail_mass``) outside (0, 1]; a gain below 1; a count
 (``m``, ``dim``, ``slices``, ``trials``, ``repetitions``,
 ``codeword_len``, ``num_modes``, ``subchannels``) that is fractional,
 infinite, NaN, boolean or below 1, or a random-stream key (``root_seed``,
@@ -58,6 +60,8 @@ TAIL = (0.0, 2.0, math.nan, math.inf, True)
 COUNT = (0, -3, 2.5, math.nan, math.inf, True)
 KEY = (-1, 2.5, math.nan, math.inf, np.True_)
 GAIN = (0.5, math.nan, math.inf, True)
+# 1e200 is finite, its square is not
+AMPLITUDE = (math.nan, complex(math.nan, 0.0), complex(0.0, math.inf), 1e200, True, np.True_, "1")
 # input name -> (values it must reject, the message they raise, as a pattern)
 BAD = {
     name: (values, re.escape(f"{name} {message}"))
@@ -65,7 +69,8 @@ BAD = {
         (OCCUPATION, "must be finite and nonnegative", "n_s amp_sq e_noise xi noise_nb n_b"),
         (STACK, "must be finite and nonnegative", "x amps"),
         (FRACTION, "must be in [0, 1]", "kappa p0"),
-        (PHASE, "must be finite", "theta"),
+        (AMPLITUDE, "must have a finite |alpha|^2", "alpha"),
+        (PHASE, "must be finite", "theta theta_plus_comp alpha_r"),
         (PHASE + (np.array([0.5, math.nan]),), "must be finite", "thetas"),
         (TOLERANCE, "must be finite and positive", "quad_tol fd_step"),
         (TAIL, "must be in (0, 1]", "tail_tol tail_mass"),
@@ -142,7 +147,9 @@ CALLS = {
         lambda amps=(0.01,): discrimination.pattern_exponents(HYP, HYP, amps)
     ),
     "metrology.fi_homodyne": (
-        lambda x=0.5, e_noise=0.1: metrology.fi_homodyne(x, e_noise, 1.0)
+        lambda x=0.5, e_noise=0.1, theta_plus_comp=1.0: metrology.fi_homodyne(
+            x, e_noise, theta_plus_comp
+        )
     ),
     "metrology.fi_opar": (
         lambda n_s=NS, m=M, theta=1.0, gain=None: metrology.fi_opar(n_s, CH, m, theta, gain)
@@ -200,6 +207,12 @@ CALLS = {
             n_s, CH, m, thetas, gain
         )
     ),
+    "receivers.dolinar_simulate": (
+        lambda alpha=1.0: receivers.dolinar_simulate(alpha, receivers.DolinarConfig(2, 10), _rng())
+    ),
+    "receivers.pe_heterodyne": lambda alpha=1.0j: receivers.pe_heterodyne(alpha),
+    "receivers.pe_homodyne": lambda alpha_r=-1.0: receivers.pe_homodyne(alpha_r),
+    "receivers.pe_kennedy": lambda alpha=1.0: receivers.pe_kennedy(alpha),
     "receivers.opar_pe": lambda n_s=NS, m=M, gain=None: receivers.opar_pe(n_s, CH, m, gain),
     "receivers.pcr_pe": lambda n_s=NS, m=M: receivers.pcr_pe(n_s, CH, m),
 }
@@ -221,7 +234,7 @@ CONSTRUCTORS = {
         )
     ),
     "fockstates.DisplacedThermal": (
-        lambda e_noise=0.1: fockstates.DisplacedThermal(0.5, e_noise)
+        lambda alpha=0.5, e_noise=0.1: fockstates.DisplacedThermal(alpha, e_noise)
     ),
     "fockstates.FockMatrix": (
         lambda dim=1, tail_tol=1e-9: fockstates.FockMatrix(dim, np.eye(1), tail_tol)
@@ -325,11 +338,12 @@ def test_displaced_thermal_rejects_non_finite_alpha(alpha):
 
 MAX = sys.float_info.max
 TINY = math.ulp(0.0)  # the least positive float
-# input name -> (least, greatest) value its rule accepts; None: no greatest
+# real input name -> (least, greatest) value its rule accepts; None: no
+# greatest (``alpha``, the one complex input, has its own tests)
 RANGES = {
     **dict.fromkeys("n_s n_b e_noise noise_nb amp_sq xi x amps".split(), (0.0, MAX)),
     **dict.fromkeys(("kappa", "p0"), (0.0, 1.0)),
-    **dict.fromkeys(("theta", "thetas"), (-MAX, MAX)),
+    **dict.fromkeys(("theta", "theta_plus_comp", "alpha_r", "thetas"), (-MAX, MAX)),
     **dict.fromkeys(("quad_tol", "fd_step"), (TINY, MAX)),
     **dict.fromkeys(("tail_tol", "tail_mass"), (TINY, 1.0)),
     "gain": (1.0, MAX),
@@ -356,7 +370,24 @@ def _outcome(name, value):
 
 
 def test_ranges_and_bad_values_cover_the_rule_table():
-    assert sorted(RANGES) == sorted(BAD) == sorted(entsense._RULES)
+    assert sorted([*RANGES, "alpha"]) == sorted(BAD) == sorted(entsense._RULES)
+
+
+def test_alpha_rule_takes_real_and_complex_numbers():
+    big = math.sqrt(MAX)  # |big|^2 is the greatest finite float or near it
+    plain = (0, 1, -2.5, 1 + 2j, big, complex(0.0, -big))
+    numpy_scalars = (np.int64(3), np.float32(0.5), np.float64(-1.0), np.complex64(1j))
+    for value in (*plain, *numpy_scalars, np.complex128(3 - 4j)):
+        checked = _check("alpha", value)
+        assert type(checked) is complex and checked == complex(value)
+
+
+def test_alpha_rule_rejects_non_numbers_booleans_and_infinite_squares():
+    non_finite = (math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, math.nan))
+    squares_overflow = (2.0 * math.sqrt(MAX), complex(1e200, 1e200))
+    not_numbers = (True, False, np.True_, "1", None, np.array(1.0), np.array([1.0]))
+    for value in (*non_finite, *squares_overflow, *not_numbers):
+        assert _outcome("alpha", value) == ("rejects", "alpha must have a finite |alpha|^2")
 
 
 @pytest.mark.parametrize("name", sorted(RANGES))
