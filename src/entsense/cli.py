@@ -75,7 +75,7 @@ from .communication import (
 from .conversion import conversion_params
 from .discrimination import (
     PatternHypothesis,
-    _coherent_helstrom_error,
+    _coherent_mode_count,
     c2d_exponent_bounds,
     lemma1_upper_bound,
     nair_gu_bound,
@@ -298,55 +298,9 @@ def _chi_cpsk(p: _Point, m: int) -> float:
     return p.integrated(result)
 
 
-def _mode_count_for_classical_level(ns, ch, level):
-    """Smallest m at which the coherent-state Helstrom error is <= level,
-    and that error (``None`` where no solve was needed).
-
-    The error depends on m only through a = kappa m n_s, and the quantum
-    Chernoff bound Q = exp(-c a), c = (sqrt(n_b+1) - sqrt(n_b))^2, brackets
-    it: Q^2/4 <= P(a) <= Q/2.  Brent's method finds ln P(a) = ln level
-    inside that bracket; integer steps on ``p_classical_coherent`` then
-    make m exactly the smallest.
-    """
-    import scipy.optimize  # at module level it slows `import entsense.cli`
-
-    if level >= 0.5:  # P(a) <= 1/2 at every a
-        return 1, None
-    a1 = ch.kappa * ns
-    if not (level > 0.0 and a1 > 0.0):
-        raise ValueError(
-            "classical error level unreachable; raise the level or the channel contrast"
-        )
-    c = (math.sqrt(ch.n_b + 1.0) - math.sqrt(ch.n_b)) ** 2
-    lo = math.log(0.25 / level) / (2.0 * c)
-    if lo <= a1:  # the bracket reaches down to m = 1
-        error = p_classical_coherent(ns, ch, 1)
-        if error <= level:
-            return 1, error
-        lo = a1
-    hi = math.log(0.5 / level) / c
-    root = scipy.optimize.brentq(
-        lambda a: math.log(_coherent_helstrom_error(a, ch.n_b) / level),
-        lo,
-        hi,
-        xtol=0.25 * a1,
-    )
-    m = math.ceil(root / a1)
-    error = p_classical_coherent(ns, ch, m)
-    while error > level:
-        m += 1
-        error = p_classical_coherent(ns, ch, m)
-    while m > 1:
-        below = p_classical_coherent(ns, ch, m - 1)
-        if below > level:
-            break
-        m, error = m - 1, below
-    return m, error
-
-
 def _searched_mode_count(p: _Point) -> int:
     """The ``m`` cell's search; its check at m seeds ``p_cs_helstrom``."""
-    m, error = _mode_count_for_classical_level(p["ns"], p["channel"], 0.05)
+    m, error = _coherent_mode_count(p["ns"], p["channel"], 0.05)
     if error is not None:
         p["p_cs_helstrom"] = error
     return m

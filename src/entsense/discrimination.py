@@ -335,6 +335,53 @@ def _coherent_helstrom_error(amp_sq: float, n_b: float) -> float:
     return max(0.5 - float(np.sum(sigma)), 0.0)
 
 
+def _coherent_mode_count(n_s: float, ch: ChannelParams, level: float):
+    """Smallest m at which :func:`p_classical_coherent` is <= ``level``, and
+    that error (``None`` where no solve was needed).  The error depends on m
+    only through ``a = kappa m n_s``, so the search starts at m = ceil(a* /
+    (kappa n_s)), a* the background's :func:`_coherent_threshold`, and exact
+    integer steps make m the smallest."""
+    if level >= 0.5:  # P(a) <= 1/2 at every a
+        return 1, None
+    a1 = ch.kappa * n_s
+    if not (level > 0.0 and a1 > 0.0):
+        raise ValueError(
+            "classical error level unreachable; raise the level or the channel contrast"
+        )
+    # the bracket reaches down to m = 1 where its lower end Q(a1)^2/4 <= level
+    if math.log(0.25 / level) <= 2.0 * _coherent_chernoff_rate(ch.n_b) * a1:
+        error = p_classical_coherent(n_s, ch, 1)
+        if error <= level:
+            return 1, error
+    m = math.ceil(_coherent_threshold(ch.n_b, level) / a1)
+    while (error := p_classical_coherent(n_s, ch, m)) > level:
+        m += 1
+    while m > 1 and (below := p_classical_coherent(n_s, ch, m - 1)) <= level:
+        m, error = m - 1, below
+    return m, error
+
+
+@functools.cache
+def _coherent_threshold(n_b: float, level: float) -> float:
+    """The ``a`` at which the coherent-state Helstrom error falls to ``level``
+    (0 < level < 1/2): one Brent solve of ln P(a) = ln level, between the ends
+    of the quantum Chernoff bracket Q^2/4 <= P(a) <= Q/2."""
+    import scipy.optimize  # at module level it slows `import entsense.cli`
+
+    c = _coherent_chernoff_rate(n_b)
+    return scipy.optimize.brentq(
+        lambda a: math.log(_coherent_helstrom_error(a, n_b) / level),
+        max(math.log(0.25 / level), 0.0) / (2.0 * c),
+        math.log(0.5 / level) / c,
+    )
+
+
+def _coherent_chernoff_rate(n_b: float) -> float:
+    """``c`` in the quantum Chernoff bound ``Q = exp(-c a)`` of the thermal
+    state ``n_b`` against the same state displaced to ``sqrt(a)``."""
+    return (math.sqrt(n_b + 1.0) - math.sqrt(n_b)) ** 2
+
+
 def _parity_band(band: np.ndarray) -> tuple[np.ndarray, int, int]:
     """The even-row, odd-column block ``B[i, j] = rho[2i, 2j+1]`` of the
     symmetric matrix with lower band ``band``, in LAPACK general-band
@@ -506,7 +553,7 @@ def c2d_exponent_bounds(n_s: float, ch: ChannelParams) -> C2dExponents:
     params, _ = _c2d_states(n_s, ch)
     two_xi = 2.0 * params.xi
     lb = two_xi * (math.sqrt(n_s + 1.0) - math.sqrt(n_s)) ** 2
-    r_cs = ch.kappa * n_s * (math.sqrt(ch.n_b + 1.0) - math.sqrt(ch.n_b)) ** 2
+    r_cs = ch.kappa * n_s * _coherent_chernoff_rate(ch.n_b)
     return C2dExponents(lb, r_cs, two_xi)
 
 
@@ -580,9 +627,7 @@ def pattern_exponents(
     if np.shape(amps) != deltas.shape:
         raise ValueError("amps must provide one value per subchannel")
     n_b = h1.n_b
-    classical = float(
-        np.sum(deltas * amps) * (math.sqrt(n_b + 1.0) - math.sqrt(n_b)) ** 2
-    )
+    classical = float(np.sum(deltas * amps) * _coherent_chernoff_rate(n_b))
     entangled = float(np.sum(amps * deltas) / n_b)
     refined = float(
         np.sum(

@@ -143,7 +143,13 @@ def _dolinar_batch(
     for uk in u:
         g = _favored(p0, p1, gen)
         shift = np.where(g == 0, -gamma + uk, -gamma - uk)
-        counts = gen.poisson(np.abs(slice_field + shift) ** 2)
+        try:
+            counts = gen.poisson(np.abs(slice_field + shift) ** 2)
+        except ValueError as exc:  # numpy's "lam value too large"
+            raise ValueError(
+                f"alpha too large: the per-slice photon rate |alpha|^2 / slices = "
+                f"{amp**2 / s:.3g} is past numpy's Poisson sampler"
+            ) from exc
         if counts.max(initial=0) > _PHOTON_CAP:
             logger.warning(
                 "clipping %d photon count(s) above %d",

@@ -31,7 +31,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfcinv
 
-from entsense.cli import _mode_count_for_classical_level, main
+from entsense.cli import main
 from entsense.communication import (
     GreenMachineConfig,
     capacity_ea,
@@ -43,6 +43,7 @@ from entsense.communication import (
 from entsense.conversion import conversion_params, simulate_conversion
 from entsense.discrimination import (
     PatternHypothesis,
+    _coherent_mode_count,
     c2d_exponent_bounds,
     lemma1_upper_bound,
     nair_gu_bound,
@@ -149,7 +150,7 @@ def test_criterion_03_advantage_boundary(tmp_path):
     for ns in (1e-2, 1e-1, 1.0):
         for nb in (10**-1.5, 10**-0.5, 10**0.5):
             ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
-            m, _ = _mode_count_for_classical_level(ns, ch, 0.05)
+            m, _ = _coherent_mode_count(ns, ch, 0.05)
             ratio = p_c2d(ns, ch, m) / p_classical_coherent(ns, ch, m)
             ratios[(ns, nb)] = ratio
             region_ok = region_ok and (ratio <= 1.0) == (ns <= nb)

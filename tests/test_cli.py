@@ -854,12 +854,17 @@ class TestFigurePresets:
     def calls(self, monkeypatch):
         """Arguments of each call to the counted cli names, by name."""
         counted = {}
-        for name in ("lemma1_upper_bound", "p_c2d", "p_classical_coherent"):
-            def count(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+        for module, name in [
+            (cli, "lemma1_upper_bound"),
+            (cli, "p_c2d"),
+            (cli, "p_classical_coherent"),
+            (discrimination, "p_classical_coherent"),  # called by the 3a search
+        ]:
+            def count(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 counted.setdefault(_name, []).append(args)
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, count)
+            monkeypatch.setattr(module, name, count)
         return counted
 
     def test_2a_computes_no_unwritten_cell(self, calls):
@@ -871,7 +876,7 @@ class TestFigurePresets:
     def test_3a_ratio_reuses_its_cells(self, calls):
         # the search's check at m is the row's p_cs_helstrom: one solve there
         ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
-        m, error = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        m, error = discrimination._coherent_mode_count(ns, ch, 0.05)
         calls.clear()
         config = SweepConfig(subcommand="figures", options={"which": "3a"})
         row, _ = cli._run_task(cli._plan(config)[1][0])
@@ -903,7 +908,7 @@ def _first_preset_row(which, tol, seed):
         return [m, value, *dolinar, pcr_pe(ns, ch, m), opar_pe(ns, ch, m), homodyne], achieved
     if which == "3a":
         ns, ch = 1e-2, ChannelParams(kappa=0.01, theta=0.0, n_b=0.1)
-        m, error = cli._mode_count_for_classical_level(ns, ch, 0.05)
+        m, error = discrimination._coherent_mode_count(ns, ch, 0.05)
         benchmark = p_classical_coherent(ns, ch, m)
         assert error == benchmark <= 0.05 < p_classical_coherent(ns, ch, m - 1)
         value, achieved = p_c2d(ns, ch, m, tol, with_achieved=True)
@@ -924,13 +929,13 @@ def _first_preset_row(which, tol, seed):
 class TestModeCountBisection:
     def test_level_is_bracketed(self):
         ch = ChannelParams(kappa=0.01, theta=0.0, n_b=1.0)
-        m_star, error = cli._mode_count_for_classical_level(0.1, ch, 0.05)
+        m_star, error = discrimination._coherent_mode_count(0.1, ch, 0.05)
         assert p_classical_coherent(0.1, ch, m_star) == error <= 0.05
         assert p_classical_coherent(0.1, ch, m_star - 1) > 0.05
 
     def test_trivial_level(self, solves):
         ch = ChannelParams(kappa=0.5, theta=0.0, n_b=0.1)
-        assert cli._mode_count_for_classical_level(0.5, ch, 0.5) == (1, None)
+        assert discrimination._coherent_mode_count(0.5, ch, 0.5) == (1, None)
         assert solves == []
 
     def test_one_mode_returns_its_check(self, solves):
@@ -938,7 +943,7 @@ class TestModeCountBisection:
         ch = ChannelParams(kappa=0.5, theta=0.0, n_b=0.1)
         want = p_classical_coherent(100.0, ch, 1)
         solves.clear()
-        assert cli._mode_count_for_classical_level(100.0, ch, 0.05) == (1, want)
+        assert discrimination._coherent_mode_count(100.0, ch, 0.05) == (1, want)
         assert len(solves) == 1
 
     @pytest.fixture
@@ -953,23 +958,32 @@ class TestModeCountBisection:
             return solve(*args)
 
         monkeypatch.setattr(discrimination, "_coherent_helstrom_error", counted)
-        monkeypatch.setattr(cli, "_coherent_helstrom_error", counted)
+        discrimination._coherent_threshold.cache_clear()
         return calls
 
-    @pytest.mark.parametrize("ns", [1e-2, 1.0])
-    @pytest.mark.parametrize("nb", [0.1, 10.0])
+    @pytest.mark.parametrize(
+        "nb, ns", [(0.1, 1e-2), (0.1, 1.0), (10.0, 1e-2), (10.0, 1.0), (1.0, 0.1)]
+    )
     def test_bracket_matches_doubling_bisection(self, solves, ns, nb):
-        # the corners of preset 3a
+        # the corners of preset 3a and one interior point
         ch = ChannelParams(kappa=0.01, theta=0.0, n_b=nb)
         want = _doubling_bisection(ns, ch, 0.05)
         solves.clear()
-        assert cli._mode_count_for_classical_level(ns, ch, 0.05)[0] == want
+        assert discrimination._coherent_mode_count(ns, ch, 0.05)[0] == want
         assert len(solves) <= 12
+
+    def test_3a_searches_each_background_once(self, solves):
+        # 25 rows over 5 backgrounds: one threshold search per background,
+        # then each row's checks at its m and m - 1 (201 solves unshared)
+        config = SweepConfig(subcommand="figures", options={"which": "3a"})
+        for task in cli._plan(config)[1]:
+            cli._run_task(task)
+        assert len(solves) <= 90
 
     def test_no_target_is_unreachable_at_once(self, solves):
         ch = ChannelParams(kappa=0.0, theta=0.0, n_b=1.0)
         with pytest.raises(ValueError, match="unreachable"):
-            cli._mode_count_for_classical_level(0.1, ch, 0.05)
+            discrimination._coherent_mode_count(0.1, ch, 0.05)
         assert solves == []
 
 
@@ -1016,11 +1030,13 @@ def _csv_bytes_at_blas_threads(tmp_path, argv):
 class TestSubprocessEntry:
     def test_import_loads_neither_scipy_stats_nor_mpmath(self):
         # scipy.stats costs about 45 MB resident and 0.8 s to import; every
-        # CLI worker and benchmark run would pay it
+        # CLI worker and benchmark run would pay it.  scipy.optimize loads
+        # only when the 3a mode-count search first runs.
         code = (
             "import sys\n"
             "import entsense.cli, entsense.communication, entsense.discrimination\n"
-            "print(sorted(m for m in ('scipy.stats', 'mpmath') if m in sys.modules))\n"
+            "unwanted = ('scipy.stats', 'mpmath', 'scipy.optimize')\n"
+            "print(sorted(m for m in unwanted if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

@@ -147,6 +147,11 @@ class TestDolinarSimulate:
         assert rate >= helstrom_pure(1.0) - 3 * stderr
         assert rate <= 0.5
 
+    def test_rate_past_the_poisson_sampler_names_alpha(self):
+        # |alpha|^2 / slices = 5e19 passes the alpha rule but not numpy's sampler
+        with pytest.raises(ValueError, match="alpha"):
+            dolinar_simulate(1e10, DolinarConfig(2, 10), RngStream(1))
+
     def test_stream_determinism(self):
         cfg = DolinarConfig(slices=20, trials=5_000)
         first = dolinar_simulate(1.0, cfg, RngStream(3, 5))
